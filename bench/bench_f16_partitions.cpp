@@ -63,7 +63,7 @@ struct WindowStats {
   double span_s = 1.0;
   std::int64_t completed = 0;
   std::int64_t goodput = 0;  // completed within SLO
-  std::vector<double> latencies_ms;
+  std::vector<double> latencies_ms{};
 
   double goodput_rate() const { return static_cast<double>(goodput) / span_s; }
 

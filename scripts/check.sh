@@ -220,6 +220,16 @@ if [[ "${EVOLVE_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # Drive the erasure-coding GET/hedge/repair machinery (fragment fan-out,
   # straggler cancellation, throttled rebuild) end to end under ASan/UBSan.
   (cd "$SAN_DIR" && ./bench/bench_f14_durability)
+  # Drive the object store's read race (replicated and erasure-coded
+  # GETs; F17 below covers block reads) end to end under ASan/UBSan:
+  # platform dataset reads (T1), tiered replicated GETs (F5),
+  # replication vs EC reads (A5), reads through crashes and repair
+  # (F10), and hedges, checksum failover and scrubbing (F11).
+  (cd "$SAN_DIR" && ./bench/bench_t1_endtoend)
+  (cd "$SAN_DIR" && ./bench/bench_f5_storage)
+  (cd "$SAN_DIR" && ./bench/bench_a5_redundancy)
+  (cd "$SAN_DIR" && ./bench/bench_f10_faults)
+  (cd "$SAN_DIR" && ./bench/bench_f11_gray)
   # Drive the fair-share pool tree, preemption, disruption budgets, and
   # the rebalancer end to end under ASan/UBSan (the ctest pass above
   # already covers the PoolTree/Preemption/Rebalancer unit tests).

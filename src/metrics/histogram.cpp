@@ -133,4 +133,10 @@ std::string Histogram::summary() const {
   return out.str();
 }
 
+util::TimeNs HedgePolicy::delay(const Histogram& latency_us) const {
+  if (latency_us.count() < min_samples) return min_delay;
+  return std::max<util::TimeNs>(
+      latency_us.percentile(quantile) * util::kMicrosecond, min_delay);
+}
+
 }  // namespace evolve::metrics

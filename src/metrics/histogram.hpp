@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "util/types.hpp"
+
 namespace evolve::metrics {
 
 class Histogram {
@@ -58,6 +60,19 @@ class Histogram {
   // form cancels catastrophically for large offsets (ns timestamps).
   double welford_mean_ = 0;
   double m2_ = 0;
+};
+
+/// Hedge-delay policy of the hedged paths (object store GETs, serving
+/// requests): wait for the `quantile` of the caller's own latency
+/// histogram, floored at `min_delay`, which is also the whole delay
+/// until the histogram holds `min_samples` observations.
+struct HedgePolicy {
+  double quantile = 95.0;
+  util::TimeNs min_delay = 0;
+  int min_samples = 0;
+
+  /// `latency_us`: the caller's latency histogram, in microseconds.
+  util::TimeNs delay(const Histogram& latency_us) const;
 };
 
 }  // namespace evolve::metrics

@@ -400,14 +400,9 @@ void Service::finalize(RequestId id, int which) {
 }
 
 void Service::arm_hedge(InFlight& rec) {
-  util::TimeNs delay = config_.hedge_min_delay;
-  const metrics::Histogram& latency = metrics_.histogram("serve.latency_us");
-  if (latency.count() >= config_.hedge_min_samples) {
-    delay = std::max<util::TimeNs>(
-        latency.percentile(config_.hedge_quantile) * util::kMicrosecond,
-        config_.hedge_min_delay);
-  }
   const RequestId id = rec.req.id;
+  const util::TimeNs delay =
+      config_.hedge.delay(metrics_.histogram("serve.latency_us"));
   rec.hedge_event = sim_.after(delay, [this, id] {
     InFlight* r = record(id);
     if (!r) return;

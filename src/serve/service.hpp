@@ -59,9 +59,7 @@ struct ServiceConfig {
   /// Duplicate slow requests to a second replica after the service's own
   /// latency quantile.
   bool hedging = false;
-  double hedge_quantile = 95.0;
-  util::TimeNs hedge_min_delay = util::millis(5);
-  int hedge_min_samples = 32;
+  metrics::HedgePolicy hedge{95.0, util::millis(5), 32};
   /// Post-heal admission ramp (see ramp_node()): a freshly reconnected
   /// node's replicas start with this much virtual load, decaying
   /// linearly over the ramp window, so traffic returns gradually

@@ -108,6 +108,11 @@ const ObjectStore::ServerState& ObjectStore::server_state(
 
 void ObjectStore::create_bucket(const std::string& bucket) {
   if (bucket.empty()) throw std::invalid_argument("empty bucket name");
+  // full() names a key in the caches and the placement hash; it stays
+  // unique only while no bucket holds a '/'.
+  if (bucket.find('/') != std::string::npos) {
+    throw std::invalid_argument("bucket name contains '/': " + bucket);
+  }
   buckets_[bucket] = true;
 }
 
@@ -206,17 +211,10 @@ std::vector<cluster::NodeId> ObjectStore::locate(const ObjectKey& key) const {
   return place_copies(key);
 }
 
-cluster::NodeId ObjectStore::choose_replica(
-    const std::vector<cluster::NodeId>& replicas,
-    cluster::NodeId client) const {
-  for (cluster::NodeId r : replicas) {
-    if (r == client) return r;
-  }
-  const auto& topo = fabric_.topology();
-  for (cluster::NodeId r : replicas) {
-    if (topo.same_rack(r, client)) return r;
-  }
-  return replicas.front();
+int ObjectStore::proximity(cluster::NodeId server,
+                           cluster::NodeId client) const {
+  if (server == client) return 0;
+  return fabric_.topology().same_rack(server, client) ? 1 : 2;
 }
 
 void ObjectStore::write_durable(cluster::NodeId server, const ObjectKey& key,
@@ -363,253 +361,32 @@ void ObjectStore::put(cluster::NodeId client, const ObjectKey& key,
 
 void ObjectStore::get(cluster::NodeId client, const ObjectKey& key,
                       GetCallback on_done) {
-  const util::TimeNs start = sim_.now();
-  metrics_.count("get_requests");
-  const trace::SpanId span =
-      trace::begin_span(tracer_, trace::Layer::kStorage, "store.get");
-  if (span != trace::kNoSpan) tracer_->annotate(span, "key", key.full());
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
-    metrics_.count("get_misses");
-    if (span != trace::kNoSpan) tracer_->annotate(span, "result", "miss");
-    sim_.after(config_.metadata_latency,
-               [this, span, cb = std::move(on_done)] {
-                 trace::end_span(tracer_, span);
-                 cb(GetResult{});
-               });
-    return;
-  }
-  if (health(it->second) == Health::kLost) {
-    // Every replica (or too many fragments) died with its node: the
-    // object is unreadable until someone re-writes it.
-    metrics_.count("get_lost");
-    if (span != trace::kNoSpan) tracer_->annotate(span, "result", "lost");
-    sim_.after(config_.metadata_latency,
-               [this, span, cb = std::move(on_done)] {
-                 trace::end_span(tracer_, span);
-                 cb(GetResult{});
-               });
-    return;
-  }
-  const bool degraded_object = health(it->second) == Health::kDegraded;
-  if (degraded_object) {
-    metrics_.count("degraded_reads");
-    if (span != trace::kNoSpan) tracer_->annotate(span, "degraded", "1");
-  }
-  const util::Bytes size = it->second.size;
-  if (config_.redundancy == Redundancy::kErasure) {
-    get_erasure(client, key, it->second, start, span, std::move(on_done));
-    return;
-  }
-  // Replication path: the primary read (branch 0) optionally races a
-  // hedge read (branch 1) fired after a latency-quantile delay.
-  auto race = std::make_shared<ReadRace>();
-  race->key = key;
-  race->client = client;
-  race->size = size;
-  race->start = start;
-  race->span = span;
-  race->cb = std::move(on_done);
-  race->degraded = degraded_object;
-  race->inflight = 1;
-  const cluster::NodeId server = choose_replica(it->second.replicas, client);
-  if (span != trace::kNoSpan) {
-    tracer_->annotate(span, "bytes", std::to_string(size));
-  }
-  sim_.after(config_.metadata_latency,
-             [this, race, server] { run_read_branch(race, 0, server); });
-
-  if (config_.hedged_reads && it->second.replicas.size() >= 2) {
-    sim_.after(hedge_delay(), [this, race] {
-      if (race->decided) return;
-      auto obj = objects_.find(race->key);
-      if (obj == objects_.end()) return;
-      // Prefer an untried clean replica; fall back to any untried one
-      // (the checksum path fails over if it turns out rotten).
-      cluster::NodeId target = cluster::kInvalidNode;
-      for (cluster::NodeId r : obj->second.replicas) {
-        if (race->tried.count(r) != 0) continue;
-        if (replica_corrupted(race->key, r)) continue;
-        target = r;
-        break;
-      }
-      if (target == cluster::kInvalidNode) {
-        for (cluster::NodeId r : obj->second.replicas) {
-          if (race->tried.count(r) == 0) {
-            target = r;
-            break;
-          }
-        }
-      }
-      if (target == cluster::kInvalidNode) return;
-      ++hedges_launched_;
-      metrics_.count("hedges_launched");
-      race->hedged = true;
-      race->hedge_span = trace::begin_span(
-          tracer_, trace::Layer::kStorage, "store.hedge", race->span);
-      if (race->hedge_span != trace::kNoSpan) {
-        tracer_->annotate(race->hedge_span, "server", std::to_string(target));
-      }
-      ++race->inflight;
-      run_read_branch(race, 1, target);
-    });
-  }
-}
-
-void ObjectStore::run_read_branch(const std::shared_ptr<ReadRace>& race,
-                                  int branch, cluster::NodeId server) {
-  race->tried.insert(server);
-  ServerState& state = server_state(server);
-  const util::Bytes size = race->size;
-  const std::string full = race->key.full();
-
-  // Which tier serves the read?
-  std::string tier_name;
-  if (config_.cache_on_get) {
-    if (auto tier = state.cache->get(full); tier.has_value()) {
-      tier_name = state.cache_tiers[static_cast<std::size_t>(*tier)];
-    } else {
-      tier_name = state.durable_device;
-      state.cache->put(full, size);  // admit on miss
-    }
-  } else {
-    if (auto tier = state.cache->peek(full); tier.has_value()) {
-      tier_name = state.cache_tiers[static_cast<std::size_t>(*tier)];
-    } else {
-      tier_name = state.durable_device;
-    }
-  }
-  metrics_.count("get_tier_" + tier_name);
-  metrics_.count("get_bytes", size);
-  if (branch == 0 && race->span != trace::kNoSpan) {
-    tracer_->annotate(race->span, "tier", tier_name);
-  }
-
-  GetResult& result = race->result[branch];
-  result.found = true;
-  result.size = size;
-  result.served_by = server;
-  result.tier = tier_name;
-
-  io_.device(server, tier_name)
-      .submit(IoKind::kRead, size, [this, race, branch, server] {
-        if (race->decided) {
-          --race->inflight;
-          return;
-        }
-        // Checksum verification as the payload leaves the media.
-        if (replica_corrupted(race->key, server)) {
-          if (config_.checksum_reads) {
-            ++checksum_failures_;
-            metrics_.count("checksum_failures");
-            drop_corrupted_replica(race->key, server);
-            // Transparent failover to a clean replica we haven't tried.
-            cluster::NodeId next = cluster::kInvalidNode;
-            if (auto obj = objects_.find(race->key); obj != objects_.end()) {
-              for (cluster::NodeId r : obj->second.replicas) {
-                if (race->tried.count(r) == 0 &&
-                    !replica_corrupted(race->key, r)) {
-                  next = r;
-                  break;
-                }
-              }
-            }
-            if (next != cluster::kInvalidNode) {
-              run_read_branch(race, branch, next);
-              return;
-            }
-            abandon_read_branch(race);
-            return;
-          }
-          // No verification: the rotten payload is served as-is.
-          race->result[branch].corrupted = true;
-        }
-        trace::ScopedContext tctx(
-            tracer_, branch == 1 ? race->hedge_span : race->span);
-        race->flow[branch] =
-            fabric_.transfer(server, race->client, race->size,
-                             [this, race, branch] {
-                               finish_read_branch(race, branch);
-                             });
-        race->flow_active[branch] = true;
-      });
-}
-
-void ObjectStore::finish_read_branch(const std::shared_ptr<ReadRace>& race,
-                                     int branch) {
-  race->flow_active[branch] = false;
-  --race->inflight;
-  if (race->decided) return;
-  race->decided = true;
-
-  GetResult result = race->result[branch];
-  result.hedged = race->hedged;
-  result.hedge_won = branch == 1;
-  result.degraded = race->degraded;
-  if (branch == 1) {
-    ++hedge_wins_;
-    metrics_.count("hedge_wins");
-    if (race->span != trace::kNoSpan) {
-      tracer_->annotate(race->span, "hedge_won", "1");
-      tracer_->annotate(race->span, "tier", result.tier);
-    }
-  }
-  if (result.corrupted) {
-    ++corrupted_reads_surfaced_;
-    metrics_.count("corrupted_reads_surfaced");
-    if (race->span != trace::kNoSpan) {
-      tracer_->annotate(race->span, "corrupted", "1");
-    }
-  }
-  // The loser is cancelled: an active flow is torn off the fabric (its
-  // bytes were wasted); a branch still in device I/O just fizzles.
-  if (race->inflight > 0) {
-    const int other = 1 - branch;
-    ++hedges_cancelled_;
-    metrics_.count("hedges_cancelled");
-    if (race->flow_active[other]) {
-      fabric_.cancel(race->flow[other]);
-      race->flow_active[other] = false;
-      --race->inflight;  // its completion callback will never run
-      hedge_wasted_bytes_ += race->size;
-      metrics_.count("hedge_wasted_bytes", race->size);
-    }
-  }
-  trace::end_span(tracer_, race->hedge_span);
-  const auto latency_us = (sim_.now() - race->start) / util::kMicrosecond;
-  metrics_.observe("get_latency_us", latency_us);
-  if (result.degraded) metrics_.observe("degraded_get_latency_us", latency_us);
-  trace::end_span(tracer_, race->span);
-  race->cb(result);
-}
-
-void ObjectStore::abandon_read_branch(const std::shared_ptr<ReadRace>& race) {
-  --race->inflight;
-  if (race->decided || race->inflight > 0) return;
-  // Every branch ran out of clean replicas: with verification on the
-  // read reports not-found rather than surfacing rotten bytes.
-  race->decided = true;
-  metrics_.count("get_unreadable");
-  if (race->span != trace::kNoSpan) {
-    tracer_->annotate(race->span, "result", "unreadable");
-  }
-  trace::end_span(tracer_, race->hedge_span);
-  trace::end_span(tracer_, race->span);
-  race->cb(GetResult{});
+  start_read(client, key, 0, std::move(on_done));
 }
 
 void ObjectStore::read_block(cluster::NodeId client, const ObjectKey& key,
                              util::Bytes bytes, GetCallback on_done) {
   if (bytes <= 0) throw std::invalid_argument("read_block: bytes <= 0");
-  const util::TimeNs start = sim_.now();
-  metrics_.count("block_read_requests");
-  const trace::SpanId span =
-      trace::begin_span(tracer_, trace::Layer::kStorage, "store.read_block");
+  start_read(client, key, bytes, std::move(on_done));
+}
+
+void ObjectStore::start_read(cluster::NodeId client, const ObjectKey& key,
+                             util::Bytes block, GetCallback on_done) {
+  const bool is_block = block > 0;
+  metrics_.count(is_block ? "block_read_requests" : "get_requests");
+  const trace::SpanId span = trace::begin_span(
+      tracer_, trace::Layer::kStorage,
+      is_block ? "store.read_block" : "store.get");
   if (span != trace::kNoSpan) tracer_->annotate(span, "key", key.full());
   auto it = objects_.find(key);
   if (it == objects_.end() || health(it->second) == Health::kLost) {
-    metrics_.count(it == objects_.end() ? "get_misses" : "get_lost");
-    if (span != trace::kNoSpan) tracer_->annotate(span, "result", "miss");
+    // Unknown, or every replica (too many fragments) died with its node:
+    // the object is unreadable until someone re-writes it.
+    const bool missing = it == objects_.end();
+    metrics_.count(missing ? "get_misses" : "get_lost");
+    if (span != trace::kNoSpan) {
+      tracer_->annotate(span, "result", missing ? "miss" : "lost");
+    }
     sim_.after(config_.metadata_latency,
                [this, span, cb = std::move(on_done)] {
                  trace::end_span(tracer_, span);
@@ -617,300 +394,191 @@ void ObjectStore::read_block(cluster::NodeId client, const ObjectKey& key,
                });
     return;
   }
-  auto read = std::make_shared<BlockRead>();
+  const ObjectMeta& meta = it->second;
+  auto read = std::make_shared<Read>();
   read->key = key;
   read->client = client;
-  read->block = std::min(bytes, it->second.size);
-  read->start = start;
+  read->block = is_block;
+  read->erasure = !is_block && config_.redundancy == Redundancy::kErasure;
+  read->k = read->erasure ? config_.ec_data : 1;
+  read->waiting = read->k;
+  read->size = is_block ? std::min(block, meta.size) : meta.size;
+  read->branch_bytes = read->erasure ? meta.per_server_bytes : read->size;
+  read->start = sim_.now();
   read->span = span;
   read->cb = std::move(on_done);
-  read->degraded = health(it->second) == Health::kDegraded;
+  read->degraded = health(meta) == Health::kDegraded;
   if (read->degraded) {
     metrics_.count("degraded_reads");
     if (span != trace::kNoSpan) tracer_->annotate(span, "degraded", "1");
   }
-  metrics_.count("block_read_bytes", read->block);
   if (span != trace::kNoSpan) {
-    tracer_->annotate(span, "bytes", std::to_string(read->block));
+    tracer_->annotate(span, "bytes", std::to_string(read->size));
   }
-  const cluster::NodeId server = choose_replica(it->second.replicas, client);
-  sim_.after(config_.metadata_latency,
-             [this, read, server] { run_block_read(read, server); });
-}
 
-void ObjectStore::run_block_read(const std::shared_ptr<BlockRead>& read,
-                                 cluster::NodeId server) {
-  read->tried.insert(server);
-  ServerState& state = server_state(server);
-  // Served from whichever tier already holds the object — a point read
-  // should not evict whole-object cache residents, so it never admits.
-  std::string tier_name;
-  if (auto tier = state.cache->peek(read->key.full()); tier.has_value()) {
-    tier_name = state.cache_tiers[static_cast<std::size_t>(*tier)];
-  } else {
-    tier_name = state.durable_device;
-  }
-  metrics_.count("block_read_tier_" + tier_name);
-  io_.device(server, tier_name)
-      .submit(IoKind::kRead, read->block, [this, read, server, tier_name] {
-        if (replica_corrupted(read->key, server)) {
-          if (config_.checksum_reads) {
-            ++checksum_failures_;
-            metrics_.count("checksum_failures");
-            drop_corrupted_replica(read->key, server);
-            cluster::NodeId next = cluster::kInvalidNode;
-            if (auto obj = objects_.find(read->key); obj != objects_.end()) {
-              for (cluster::NodeId r : obj->second.replicas) {
-                if (read->tried.count(r) == 0 &&
-                    !replica_corrupted(read->key, r)) {
-                  next = r;
-                  break;
-                }
-              }
-            }
-            if (next != cluster::kInvalidNode) {
-              run_block_read(read, next);
-              return;
-            }
-            metrics_.count("get_unreadable");
-            if (read->span != trace::kNoSpan) {
-              tracer_->annotate(read->span, "result", "unreadable");
-            }
-            trace::end_span(tracer_, read->span);
-            read->cb(GetResult{});
-            return;
-          }
-          read->corrupted = true;
-        }
-        trace::ScopedContext tctx(tracer_, read->span);
-        fabric_.transfer(
-            server, read->client, read->block, [this, read, server,
-                                                tier_name] {
-              GetResult result;
-              result.found = true;
-              result.size = read->block;
-              result.served_by = server;
-              result.tier = tier_name;
-              result.corrupted = read->corrupted;
-              result.degraded = read->degraded;
-              if (result.corrupted) {
-                ++corrupted_reads_surfaced_;
-                metrics_.count("corrupted_reads_surfaced");
-              }
-              metrics_.observe("block_read_latency_us",
-                               (sim_.now() - read->start) / util::kMicrosecond);
-              trace::end_span(tracer_, read->span);
-              read->cb(result);
-            });
-      });
-}
-
-util::TimeNs ObjectStore::hedge_delay() const {
-  // Hedge after our own observed GET p-quantile (floor until the
-  // histogram has warmed up).
-  util::TimeNs delay = config_.hedge_min_delay;
-  if (metrics_.has_histogram("get_latency_us")) {
-    const metrics::Histogram& lat = metrics_.histogram("get_latency_us");
-    if (lat.count() >= config_.hedge_min_samples) {
-      delay = std::max<util::TimeNs>(
-          lat.percentile(config_.hedge_quantile) * util::kMicrosecond,
-          config_.hedge_min_delay);
-    }
-  }
-  return delay;
-}
-
-void ObjectStore::get_erasure(cluster::NodeId client, const ObjectKey& key,
-                              const ObjectMeta& meta, util::TimeNs start,
-                              trace::SpanId span, GetCallback on_done) {
-  // Rank surviving fragment holders by proximity to the client and read
-  // the k nearest. Any k of the k+m fragments reconstruct, so a
-  // degraded stripe (up to m fragments dead) still completes — the read
-  // set just includes parity fragments and pays the reconstruction cost.
+  // Nearest holders first; an erasure read also puts every data
+  // fragment ahead of parity (a pure-data read set skips the
+  // reconstruction math), so parity fills in only for dead data.
   std::vector<std::pair<cluster::NodeId, int>> ranked;
   ranked.reserve(meta.replicas.size());
   for (std::size_t i = 0; i < meta.replicas.size(); ++i) {
     ranked.emplace_back(meta.replicas[i], meta.fragments[i]);
   }
-  // Captures by value: the hedge callback runs this after get_erasure's
-  // frame is gone.
-  auto proximity = [this, client](cluster::NodeId n) {
-    if (n == client) return 0;
-    return fabric_.topology().same_rack(n, client) ? 1 : 2;
-  };
-  const int k = config_.ec_data;
-  // Data fragments first (a pure-data read set skips the reconstruction
-  // math), nearest first within each class; parity fills in only for
-  // dead or rotten data fragments.
   std::stable_sort(ranked.begin(), ranked.end(),
                    [&](const auto& a, const auto& b) {
-                     const bool pa = a.second >= k;
-                     const bool pb = b.second >= k;
+                     const bool pa = read->erasure && a.second >= read->k;
+                     const bool pb = read->erasure && b.second >= read->k;
                      if (pa != pb) return pb;
-                     return proximity(a.first) < proximity(b.first);
+                     return proximity(a.first, client) <
+                            proximity(b.first, client);
                    });
-
-  auto read = std::make_shared<EcRead>();
-  read->key = key;
-  read->client = client;
-  read->size = meta.size;
-  read->fragment_bytes = meta.per_server_bytes;
-  read->start = start;
-  read->span = span;
-  read->cb = std::move(on_done);
-  read->meta_degraded =
-      static_cast<int>(meta.replicas.size()) < placed_copies();
-  read->waiting = k;
-  read->served_by = ranked.front().first;
-  for (int i = 0; i < k; ++i) {
-    launch_ec_branch(read, ranked[static_cast<std::size_t>(i)].first,
-                     ranked[static_cast<std::size_t>(i)].second,
-                     /*hedge=*/false);
-  }
-
-  if (config_.hedged_reads &&
-      static_cast<int>(meta.replicas.size()) > k) {
-    // Straggler hedge: after the latency-quantile delay, read one extra
-    // surviving fragment — whichever k fragments land first win.
-    sim_.after(hedge_delay(), [this, read, proximity] {
-      if (read->done || read->hedged) return;
-      auto obj = objects_.find(read->key);
-      if (obj == objects_.end()) return;
-      const ObjectMeta& now_meta = obj->second;
-      cluster::NodeId target = cluster::kInvalidNode;
-      int target_fragment = -1;
-      int best_rank = 3;
-      bool best_clean = false;
-      for (std::size_t i = 0; i < now_meta.replicas.size(); ++i) {
-        const cluster::NodeId r = now_meta.replicas[i];
-        if (read->tried.count(r) != 0) continue;
-        const bool clean = !replica_corrupted(read->key, r);
-        const int rank = proximity(r);
-        // Prefer a clean fragment, then the nearest one.
-        if (target == cluster::kInvalidNode || (clean && !best_clean) ||
-            (clean == best_clean && rank < best_rank)) {
-          target = r;
-          target_fragment = now_meta.fragments[i];
-          best_rank = rank;
-          best_clean = clean;
-        }
-      }
-      if (target == cluster::kInvalidNode) return;
-      ++hedges_launched_;
-      metrics_.count("hedges_launched");
-      read->hedged = true;
-      read->hedge_span = trace::begin_span(
-          tracer_, trace::Layer::kStorage, "store.hedge", read->span);
-      if (read->hedge_span != trace::kNoSpan) {
-        tracer_->annotate(read->hedge_span, "server", std::to_string(target));
-      }
-      launch_ec_branch(read, target, target_fragment, /*hedge=*/true);
-    });
-  }
-}
-
-void ObjectStore::launch_ec_branch(const std::shared_ptr<EcRead>& read,
-                                   cluster::NodeId server, int fragment,
-                                   bool hedge) {
-  const int branch = static_cast<int>(read->branches.size());
-  read->branches.push_back(EcBranch{server, fragment, 0, false, false, hedge});
-  read->tried.insert(server);
-  ++read->inflight;
-  ServerState& state = server_state(server);
-  const util::Bytes bytes = read->fragment_bytes;
-  const std::string full = read->key.full();
-  std::string tier_name;
-  if (config_.cache_on_get) {
-    if (auto tier = state.cache->get(full); tier.has_value()) {
-      tier_name = state.cache_tiers[static_cast<std::size_t>(*tier)];
-    } else {
-      tier_name = state.durable_device;
-      state.cache->put(full, bytes);
+  if (read->erasure) {
+    // Every fragment launch pays its own metadata round.
+    for (int i = 0; i < read->k; ++i) {
+      const auto [server, fragment] = ranked[static_cast<std::size_t>(i)];
+      launch_branch(read, server, fragment, /*hedge=*/false);
     }
   } else {
-    tier_name = state.durable_device;
+    const auto [server, fragment] = ranked.front();
+    sim_.after(config_.metadata_latency, [this, read, server, fragment] {
+      launch_branch(read, server, fragment, /*hedge=*/false);
+    });
   }
-  metrics_.count("get_tier_" + tier_name);
-  metrics_.count("get_bytes", bytes);
-  if (read->tier.empty()) {
-    read->tier = tier_name;
-    if (read->span != trace::kNoSpan) {
-      tracer_->annotate(read->span, "tier", tier_name);
+
+  if (is_block || !config_.hedged_reads ||
+      static_cast<int>(meta.replicas.size()) <= read->k) {
+    return;
+  }
+  // Straggler hedge: after the latency-quantile delay, one extra read at
+  // the nearest untried holder; whichever k branches land first win.
+  const util::TimeNs delay =
+      config_.hedge.delay(metrics_.histogram("get_latency_us"));
+  sim_.after(delay, [this, read] {
+    if (read->done) return;
+    const auto [target, fragment] = next_holder(*read);
+    if (target == cluster::kInvalidNode) return;
+    metrics_.count("hedges_launched");
+    read->hedged = true;
+    read->hedge_span = trace::begin_span(tracer_, trace::Layer::kStorage,
+                                         "store.hedge", read->span);
+    if (read->hedge_span != trace::kNoSpan) {
+      tracer_->annotate(read->hedge_span, "server", std::to_string(target));
     }
-  }
-  sim_.after(config_.metadata_latency, [this, read, branch, server,
-                                        tier_name] {
-    io_.device(server, tier_name)
-        .submit(IoKind::kRead, read->fragment_bytes, [this, read, branch,
-                                                      server] {
-          if (read->done) {
-            --read->inflight;
-            return;
-          }
-          // Checksum verification as the fragment leaves the media.
-          if (replica_corrupted(read->key, server)) {
-            if (config_.checksum_reads) {
-              ++checksum_failures_;
-              metrics_.count("checksum_failures");
-              drop_corrupted_replica(read->key, server);
-              // Fail over to the nearest untried clean survivor: any
-              // other fragment substitutes in the decode.
-              cluster::NodeId next = cluster::kInvalidNode;
-              int next_fragment = -1;
-              if (auto obj = objects_.find(read->key);
-                  obj != objects_.end()) {
-                for (std::size_t i = 0; i < obj->second.replicas.size();
-                     ++i) {
-                  const cluster::NodeId r = obj->second.replicas[i];
-                  if (read->tried.count(r) != 0) continue;
-                  if (replica_corrupted(read->key, r)) continue;
-                  next = r;
-                  next_fragment = obj->second.fragments[i];
-                  break;
-                }
-              }
-              if (next != cluster::kInvalidNode) {
-                const bool was_hedge = read->branches[branch].hedge;
-                --read->inflight;  // replaced by the failover branch
-                launch_ec_branch(read, next, next_fragment, was_hedge);
-                return;
-              }
-              abandon_ec_branch(read);
-              return;
-            }
-            // No verification: the rotten fragment corrupts the decode.
-            read->corrupted = true;
-          }
-          trace::ScopedContext tctx(tracer_, read->branches[branch].hedge
-                                                 ? read->hedge_span
-                                                 : read->span);
-          read->branches[branch].flow =
-              fabric_.transfer(server, read->client, read->fragment_bytes,
-                               [this, read, branch] {
-                                 finish_ec_branch(read, branch);
-                               });
-          read->branches[branch].flow_active = true;
-        });
+    launch_branch(read, target, fragment, /*hedge=*/true);
   });
 }
 
-void ObjectStore::finish_ec_branch(const std::shared_ptr<EcRead>& read,
-                                   int branch) {
-  EcBranch& b = read->branches[static_cast<std::size_t>(branch)];
+std::pair<cluster::NodeId, int> ObjectStore::next_holder(
+    const Read& read) const {
+  std::pair<cluster::NodeId, int> best{cluster::kInvalidNode, -1};
+  auto obj = objects_.find(read.key);
+  if (obj == objects_.end()) return best;
+  const ObjectMeta& meta = obj->second;
+  int best_rank = std::numeric_limits<int>::max();
+  for (std::size_t i = 0; i < meta.replicas.size(); ++i) {
+    const cluster::NodeId r = meta.replicas[i];
+    if (read.tried.count(r) != 0) continue;
+    // Clean before rotten, then nearest; ties keep metadata order.
+    const int rank = (replica_corrupted(read.key, r) ? 3 : 0) +
+                     proximity(r, read.client);
+    if (rank < best_rank) {
+      best_rank = rank;
+      best = {r, meta.fragments[i]};
+    }
+  }
+  return best;
+}
+
+void ObjectStore::launch_branch(const std::shared_ptr<Read>& read,
+                                cluster::NodeId server, int fragment,
+                                bool hedge) {
+  const std::size_t branch = read->branches.size();
+  read->tried.insert(server);
+  ++read->inflight;
+  ServerState& state = server_state(server);
+  const std::string full = read->key.full();
+  // Which tier serves the read? A GET may promote on a miss; a point
+  // read never admits, so it cannot evict whole-object residents.
+  std::optional<int> tier;
+  if (!read->block && config_.cache_on_get) {
+    tier = state.cache->get(full);
+    if (!tier.has_value()) state.cache->put(full, read->branch_bytes);
+  } else {
+    tier = state.cache->peek(full);
+  }
+  const std::string& tier_name =
+      tier.has_value() ? state.cache_tiers[static_cast<std::size_t>(*tier)]
+                       : state.durable_device;
+  read->branches.push_back(ReadBranch{
+      .server = server, .fragment = fragment, .tier = tier_name,
+      .hedge = hedge});
+  const std::string prefix = read->block ? "block_read" : "get";
+  metrics_.count(prefix + "_tier_" + tier_name);
+  metrics_.count(prefix + "_bytes", read->branch_bytes);
+
+  auto device_read = [this, read, branch] {
+    const ReadBranch& b = read->branches[branch];
+    io_.device(b.server, b.tier)
+        .submit(IoKind::kRead, read->branch_bytes, [this, read, branch] {
+          if (read->done) {  // a loser still in device I/O fizzles
+            --read->inflight;
+            return;
+          }
+          const cluster::NodeId server = read->branches[branch].server;
+          // Checksum verification as the payload leaves the media.
+          if (replica_corrupted(read->key, server)) {
+            if (!config_.checksum_reads) {
+              read->branches[branch].rotten = true;  // served as-is
+            } else {
+              metrics_.count("checksum_failures");
+              drop_corrupted_replica(read->key, server);
+              // Transparent failover: any clean holder substitutes (a
+              // fragment race just decodes from a different set).
+              const auto [next, next_fragment] = next_holder(*read);
+              if (next == cluster::kInvalidNode ||
+                  replica_corrupted(read->key, next)) {
+                abandon_branch(read);
+                return;
+              }
+              --read->inflight;  // replaced by the failover branch
+              launch_branch(read, next, next_fragment,
+                            read->branches[branch].hedge);
+              return;
+            }
+          }
+          ReadBranch& b = read->branches[branch];
+          trace::ScopedContext tctx(tracer_,
+                                    b.hedge ? read->hedge_span : read->span);
+          b.flow = fabric_.transfer(server, read->client, read->branch_bytes,
+                                    [this, read, branch] {
+                                      land_branch(read, branch);
+                                    });
+          b.flow_active = true;
+        });
+  };
+  if (read->erasure) {
+    sim_.after(config_.metadata_latency, std::move(device_read));
+  } else {
+    device_read();
+  }
+}
+
+void ObjectStore::land_branch(const std::shared_ptr<Read>& read,
+                              std::size_t branch) {
+  ReadBranch& b = read->branches[branch];
   b.flow_active = false;
   --read->inflight;
   if (read->done) return;
   b.landed = true;
-  if (--read->waiting > 0) return;
-  complete_ec_read(read);
+  if (--read->waiting == 0) complete_read(read);
 }
 
-void ObjectStore::abandon_ec_branch(const std::shared_ptr<EcRead>& read) {
+void ObjectStore::abandon_branch(const std::shared_ptr<Read>& read) {
   --read->inflight;
   if (read->done || read->inflight >= read->waiting) return;
-  // Fewer clean fragments than k remain in flight: with verification on
-  // the read reports not-found rather than decoding rotten bytes. Any
-  // still-running branches fizzle against the done flag.
+  // Fewer clean branches than missing landings remain: with
+  // verification on the read reports not-found rather than surfacing
+  // rotten bytes. Branches still running fizzle against the done flag.
   read->done = true;
   metrics_.count("get_unreadable");
   if (read->span != trace::kNoSpan) {
@@ -921,53 +589,66 @@ void ObjectStore::abandon_ec_branch(const std::shared_ptr<EcRead>& read) {
   read->cb(GetResult{});
 }
 
-void ObjectStore::complete_ec_read(const std::shared_ptr<EcRead>& read) {
+void ObjectStore::complete_read(const std::shared_ptr<Read>& read) {
   read->done = true;
-  // Cancel straggler transfers (only possible when a hedge over-
-  // provisioned the read set); branches still in device I/O fizzle.
-  for (EcBranch& b : read->branches) {
-    if (b.landed || !b.flow_active) continue;
-    fabric_.cancel(b.flow);
-    b.flow_active = false;
-    --read->inflight;
-    ++hedges_cancelled_;
-    metrics_.count("hedges_cancelled");
-    hedge_wasted_bytes_ += read->fragment_bytes;
-    metrics_.count("hedge_wasted_bytes", read->fragment_bytes);
-  }
-  bool hedge_won = false;
-  int parity_used = 0;
-  for (const EcBranch& b : read->branches) {
+  // Every loser still in flight is cancelled: an active flow is torn
+  // off the fabric (its bytes were wasted); a branch still in its
+  // metadata round or device I/O fizzles on completion.
+  if (read->inflight > 0) metrics_.count("hedges_cancelled", read->inflight);
+  GetResult result;
+  result.found = true;
+  result.size = read->size;
+  result.hedged = read->hedged;
+  const ReadBranch* winner = nullptr;
+  for (ReadBranch& b : read->branches) {
+    if (b.flow_active) {
+      fabric_.cancel(b.flow);
+      b.flow_active = false;
+      --read->inflight;  // its completion callback will never run
+      metrics_.count("hedge_wasted_bytes", read->branch_bytes);
+    }
     if (!b.landed) continue;
-    if (b.hedge) hedge_won = true;
-    if (b.fragment >= config_.ec_data) ++parity_used;
+    winner = &b;
+    result.hedge_won |= b.hedge;
+    result.corrupted |= b.rotten;
+    if (read->erasure && b.fragment >= read->k) ++result.parity_fragments_used;
   }
-  const bool reconstructed = parity_used > 0;
-  if (hedge_won) {
-    ++hedge_wins_;
+  const bool reconstructed = result.parity_fragments_used > 0;
+  result.degraded = read->degraded || reconstructed;
+  // A fragment race reports its nearest fragment, not a winner.
+  const ReadBranch& shown = read->erasure ? read->branches.front() : *winner;
+  result.served_by = shown.server;
+  result.tier = shown.tier;
+  if (result.hedge_won) {
     metrics_.count("hedge_wins");
     if (read->span != trace::kNoSpan) {
       tracer_->annotate(read->span, "hedge_won", "1");
     }
   }
-  trace::end_span(tracer_, read->hedge_span);
-
-  GetResult result;
-  result.found = true;
-  result.size = read->size;
-  result.served_by = read->served_by;
-  result.tier = read->tier;
-  result.hedged = read->hedged;
-  result.hedge_won = hedge_won;
-  result.corrupted = read->corrupted;
-  result.degraded = read->meta_degraded || reconstructed;
-  result.parity_fragments_used = parity_used;
+  if (read->span != trace::kNoSpan) {
+    tracer_->annotate(read->span, "tier", result.tier);
+  }
   if (result.corrupted) {
-    ++corrupted_reads_surfaced_;
     metrics_.count("corrupted_reads_surfaced");
     if (read->span != trace::kNoSpan) {
       tracer_->annotate(read->span, "corrupted", "1");
     }
+  }
+  trace::end_span(tracer_, read->hedge_span);
+
+  auto deliver = [this, read, result] {
+    const std::string prefix = read->block ? "block_read" : "get";
+    const auto latency_us = (sim_.now() - read->start) / util::kMicrosecond;
+    metrics_.observe(prefix + "_latency_us", latency_us);
+    if (result.degraded) {
+      metrics_.observe("degraded_" + prefix + "_latency_us", latency_us);
+    }
+    trace::end_span(tracer_, read->span);
+    read->cb(result);
+  };
+  if (!read->erasure) {
+    deliver();
+    return;
   }
   // Decode at the client: stripe assembly, plus the Reed-Solomon
   // recovery math when parity stood in for dead data fragments.
@@ -980,18 +661,10 @@ void ObjectStore::complete_ec_read(const std::shared_ptr<EcRead>& read) {
     if (read->span != trace::kNoSpan) {
       tracer_->annotate(read->span, "reconstructed", "1");
       tracer_->annotate(read->span, "parity_fragments",
-                        std::to_string(parity_used));
+                        std::to_string(result.parity_fragments_used));
     }
   }
-  sim_.after(decode_ns, [this, read, result] {
-    const auto latency_us = (sim_.now() - read->start) / util::kMicrosecond;
-    metrics_.observe("get_latency_us", latency_us);
-    if (result.degraded) {
-      metrics_.observe("degraded_get_latency_us", latency_us);
-    }
-    trace::end_span(tracer_, read->span);
-    read->cb(result);
-  });
+  sim_.after(decode_ns, std::move(deliver));
 }
 
 void ObjectStore::preload(const ObjectKey& key, util::Bytes size,
@@ -1196,7 +869,7 @@ DurabilityStats ObjectStore::durability_stats() const {
     }
   }
   stats.at_risk_fragment_seconds = at_risk_fragment_seconds();
-  stats.objects_lost_total = lost_objects_;
+  stats.objects_lost_total = lost_objects();
   return stats;
 }
 
@@ -1211,7 +884,6 @@ void ObjectStore::note_health_change(const ObjectKey& key,
   }
   shift_at_risk(at_risk_fragments(meta) - risk_before);
   if (after == Health::kLost && before != Health::kLost) {
-    ++lost_objects_;
     metrics_.count("objects_lost");
     metrics_.count("bytes_lost", meta.size);
   }
@@ -1266,7 +938,6 @@ void ObjectStore::clear_suspect(cluster::NodeId node) {
   sim_.cancel(it->second.escalate);
   shift_at_risk(-it->second.at_risk);
   suspects_.erase(it);
-  ++suspects_cleared_;
   metrics_.count("suspects_cleared");
 }
 
@@ -1447,7 +1118,6 @@ void ObjectStore::scrub_pass() {
     }
     --budget;
     scrub_inflight_.insert(*it);
-    ++replicas_scrubbed_;
     metrics_.count("replicas_scrubbed");
     const trace::SpanId span = trace::begin_span(
         tracer_, trace::Layer::kStorage, "store.scrub", trace::kNoSpan);
@@ -1635,9 +1305,16 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
     tracer_->annotate(span, "target", std::to_string(target));
   }
 
+  // Sources: the survivors nearest the target, first in metadata order
+  // among equals.
+  std::vector<cluster::NodeId> sources = meta.replicas;
+  std::stable_sort(sources.begin(), sources.end(),
+                   [&](cluster::NodeId a, cluster::NodeId b) {
+                     return proximity(a, target) < proximity(b, target);
+                   });
   if (config_.redundancy == Redundancy::kReplication) {
     // Stream one surviving copy to the target.
-    const cluster::NodeId source = choose_replica(meta.replicas, target);
+    const cluster::NodeId source = sources.front();
     io_.device(source, server_state(source).durable_device)
         .submit(IoKind::kRead, fragment,
                 [this, key, source, target, fragment, version, span] {
@@ -1653,16 +1330,6 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
   // Erasure coding: rebuild the fragment from k survivors, decode at
   // the target, then persist.
   const int k = config_.ec_data;
-  std::vector<cluster::NodeId> sources = meta.replicas;
-  const auto& topo = fabric_.topology();
-  std::stable_sort(sources.begin(), sources.end(),
-                   [&](cluster::NodeId a, cluster::NodeId b) {
-                     auto rank = [&](cluster::NodeId n) {
-                       if (n == target) return 0;
-                       return topo.same_rack(n, target) ? 1 : 2;
-                     };
-                     return rank(a) < rank(b);
-                   });
   sources.resize(static_cast<std::size_t>(k));
   const auto decode_ns = static_cast<util::TimeNs>(std::ceil(
       static_cast<double>(meta.size) * config_.ec_ns_per_byte));
@@ -1747,7 +1414,6 @@ bool ObjectStore::put_fenced(cluster::NodeId client, std::int64_t epoch,
     // Zombie write: the client's lease expired (and its epoch was
     // bumped) while it was on the far side of a partition. Reject
     // synchronously — no metadata change, no bytes moved, no callback.
-    ++writes_fenced_;
     metrics_.count("writes_fenced");
     return false;
   }

@@ -24,6 +24,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -44,8 +45,10 @@ struct ObjectKey {
   std::string name;
 
   std::string full() const { return bucket + "/" + name; }
+  /// Orders by (bucket, name) without building either string; distinct
+  /// keys never compare equal.
   bool operator<(const ObjectKey& other) const {
-    return full() < other.full();
+    return std::tie(bucket, name) < std::tie(other.bucket, other.name);
   }
 };
 
@@ -117,17 +120,13 @@ struct ObjectStoreConfig {
   util::TimeNs repair_hysteresis = 0;
 
   // -- Gray-failure mitigation (GET path) ------------------------------
-  /// Hedged reads: if the first replica read is still outstanding after
-  /// a p-quantile-based delay, fire a second read at another replica;
-  /// the first finisher wins and the loser is cancelled and accounted.
-  /// On erasure-coded GETs the hedge fires one extra fragment read at
-  /// an unused surviving fragment, covering the straggler fragment.
+  /// Hedged reads: if a GET is still short of its landings after the
+  /// hedge delay, fire one extra read at the nearest untried holder
+  /// (another replica, or an unused surviving fragment); the first
+  /// finishers win and the loser is cancelled and accounted.
   bool hedged_reads = false;
-  /// Hedge delay floor, also used until the GET latency histogram has
-  /// `hedge_min_samples` observations to take the quantile from.
-  util::TimeNs hedge_min_delay = util::millis(2);
-  int hedge_min_samples = 20;
-  double hedge_quantile = 95.0;  // percentile of own GET latency
+  /// Hedge delay: the p-quantile of the store's own GET latency.
+  metrics::HedgePolicy hedge{95.0, util::millis(2), 20};
   /// Verify payload checksums at read time: a corrupted replica is
   /// never surfaced — the read transparently fails over to a clean
   /// replica and the bad copy is dropped and queued for repair.
@@ -211,9 +210,9 @@ class ObjectStore {
 
   /// Reads `bytes` of `key`'s payload to `client` — the point-read path
   /// stateful layers use (tablet block/index reads against a flushed
-  /// generation): one replica chosen by proximity, tier-aware device
-  /// read, checksum failover, and a fabric transfer of only the block,
-  /// never the whole object. No hedging; never admits into the cache.
+  /// generation): the read race of get() with one holder and a fabric
+  /// transfer of only the block, never the whole object. No hedging;
+  /// never admits into the cache.
   void read_block(cluster::NodeId client, const ObjectKey& key,
                   util::Bytes bytes, GetCallback on_done);
 
@@ -293,7 +292,9 @@ class ObjectStore {
     return suspects_.count(node) != 0;
   }
   /// Suspects cleared within their window (rebuild storms avoided).
-  std::int64_t suspects_cleared() const { return suspects_cleared_; }
+  std::int64_t suspects_cleared() const {
+    return metrics_.counter("suspects_cleared");
+  }
 
   const ObjectStoreConfig& config() const { return config_; }
 
@@ -310,7 +311,9 @@ class ObjectStore {
                   const ObjectKey& key, util::Bytes size, PutCallback on_done);
   /// Minimum epoch `node` must present (1 = never fenced).
   std::int64_t fence_epoch(cluster::NodeId node) const;
-  std::int64_t writes_fenced() const { return writes_fenced_; }
+  std::int64_t writes_fenced() const {
+    return metrics_.counter("writes_fenced");
+  }
 
   /// Optional circuit breaker guarding the background repair scan: when
   /// open, pump_repairs defers instead of launching rebuild traffic into
@@ -338,21 +341,33 @@ class ObjectStore {
   }
 
   // Hedge / checksum / scrub statistics.
-  std::int64_t hedges_launched() const { return hedges_launched_; }
-  std::int64_t hedge_wins() const { return hedge_wins_; }
-  std::int64_t hedges_cancelled() const { return hedges_cancelled_; }
-  util::Bytes hedge_wasted_bytes() const { return hedge_wasted_bytes_; }
-  std::int64_t checksum_failures() const { return checksum_failures_; }
-  std::int64_t corrupted_reads_surfaced() const {
-    return corrupted_reads_surfaced_;
+  std::int64_t hedges_launched() const {
+    return metrics_.counter("hedges_launched");
   }
-  std::int64_t replicas_scrubbed() const { return replicas_scrubbed_; }
+  std::int64_t hedge_wins() const { return metrics_.counter("hedge_wins"); }
+  std::int64_t hedges_cancelled() const {
+    return metrics_.counter("hedges_cancelled");
+  }
+  util::Bytes hedge_wasted_bytes() const {
+    return metrics_.counter("hedge_wasted_bytes");
+  }
+  std::int64_t checksum_failures() const {
+    return metrics_.counter("checksum_failures");
+  }
+  std::int64_t corrupted_reads_surfaced() const {
+    return metrics_.counter("corrupted_reads_surfaced");
+  }
+  std::int64_t replicas_scrubbed() const {
+    return metrics_.counter("replicas_scrubbed");
+  }
 
   /// Objects currently holding fewer live replicas/fragments than
   /// placed, but still readable.
   int under_replicated_objects() const { return underrep_count_; }
   /// Objects that became permanently unreadable (cumulative).
-  int lost_objects() const { return lost_objects_; }
+  int lost_objects() const {
+    return static_cast<int>(metrics_.counter("objects_lost"));
+  }
   /// Time-weighted integral of under-replicated objects (object·s).
   double under_replicated_object_seconds() const;
   /// Time-weighted integral of missing fragments/replicas on degraded
@@ -409,58 +424,72 @@ class ObjectStore {
   void write_durable(cluster::NodeId server, const ObjectKey& key,
                      util::Bytes size, std::function<void()> on_done);
 
-  /// Picks the replica to serve a GET for `client`.
-  cluster::NodeId choose_replica(const std::vector<cluster::NodeId>& replicas,
-                                 cluster::NodeId client) const;
+  /// Distance rank of `server` from `client`: 0 for the node itself, 1
+  /// for a server in its rack, 2 otherwise.
+  int proximity(cluster::NodeId server, cluster::NodeId client) const;
 
-  /// Shared state for one replication GET: the primary read (branch 0)
-  /// races an optional hedge read (branch 1); the first finished
-  /// transfer decides and the loser's flow is cancelled.
-  struct ReadRace {
+  /// One branch of a read race: the device read on one holder, then
+  /// the fabric transfer of its bytes to the client.
+  struct ReadBranch {
+    cluster::NodeId server = cluster::kInvalidNode;
+    int fragment = -1;
+    std::string tier;
+    net::FlowId flow = 0;
+    bool flow_active = false;
+    bool landed = false;
+    bool hedge = false;
+    bool rotten = false;  // read a rotten payload (checksums off)
+  };
+  /// One read (DESIGN.md §13, "Read race"): branches race until `k` of
+  /// them land — 1 for replicated GETs and block reads, ec_data for
+  /// erasure-coded GETs. Everything else that differs between those
+  /// reads is decided here, at the entry point.
+  struct Read {
     ObjectKey key;
     cluster::NodeId client = cluster::kInvalidNode;
-    util::Bytes size = 0;
+    util::Bytes size = 0;          // reported: the object, or the block
+    util::Bytes branch_bytes = 0;  // read and moved by each branch
+    int k = 1;
+    /// Fragment race: every launch pays the metadata round, parity in
+    /// the landed set reconstructs, the client decodes, and the result
+    /// reports the nearest fragment rather than a winner.
+    bool erasure = false;
+    /// Point read: block_read_* metric names, never admits into the
+    /// cache, never hedges.
+    bool block = false;
+    bool degraded = false;  // object below placement when the read began
+    bool hedged = false;
+    bool done = false;
+    int waiting = 0;   // landings still needed
+    int inflight = 0;  // launched branches neither landed nor finished
     util::TimeNs start = 0;
     trace::SpanId span = trace::kNoSpan;
     trace::SpanId hedge_span = trace::kNoSpan;
     GetCallback cb;
-    bool decided = false;
-    bool hedged = false;
-    bool degraded = false;  // object below placement at GET time
-    int inflight = 0;                  // branches still running
-    std::set<cluster::NodeId> tried;   // replicas any branch touched
-    net::FlowId flow[2] = {0, 0};
-    bool flow_active[2] = {false, false};
-    GetResult result[2];               // per-branch candidate result
+    std::set<cluster::NodeId> tried;  // holders any branch touched
+    std::vector<ReadBranch> branches;
   };
 
-  /// Runs one branch of a GET race against `server`: tier selection,
-  /// device read, checksum verification (with failover to a clean
-  /// replica), then the fabric transfer to the client.
-  void run_read_branch(const std::shared_ptr<ReadRace>& race, int branch,
-                       cluster::NodeId server);
-  /// A branch's transfer arrived: decide the race if still open.
-  void finish_read_branch(const std::shared_ptr<ReadRace>& race, int branch);
-  /// A branch died (no clean replica left): deliver not-found when it
-  /// was the last one standing.
-  void abandon_read_branch(const std::shared_ptr<ReadRace>& race);
-
-  /// Shared state for one block (point) read.
-  struct BlockRead {
-    ObjectKey key;
-    cluster::NodeId client = cluster::kInvalidNode;
-    util::Bytes block = 0;
-    util::TimeNs start = 0;
-    trace::SpanId span = trace::kNoSpan;
-    GetCallback cb;
-    bool degraded = false;
-    bool corrupted = false;
-    std::set<cluster::NodeId> tried;
-  };
-  /// One attempt of a block read against `server`; fails over to an
-  /// untried clean replica on checksum failure.
-  void run_block_read(const std::shared_ptr<BlockRead>& read,
-                      cluster::NodeId server);
+  /// get() (`block` == 0) and read_block(): the miss/lost preamble,
+  /// then the first launches and the hedge timer.
+  void start_read(cluster::NodeId client, const ObjectKey& key,
+                  util::Bytes block, GetCallback on_done);
+  /// Launches one branch against `server`: tier selection, device read,
+  /// checksum verification (failing over to the nearest untried clean
+  /// holder), then the fabric transfer to the client.
+  void launch_branch(const std::shared_ptr<Read>& read, cluster::NodeId server,
+                     int fragment, bool hedge);
+  /// Nearest untried holder of the read's object, clean ones first
+  /// (kInvalidNode when every holder was tried).
+  std::pair<cluster::NodeId, int> next_holder(const Read& read) const;
+  /// A branch's transfer arrived: completes the read on the k-th landing.
+  void land_branch(const std::shared_ptr<Read>& read, std::size_t branch);
+  /// A branch found no clean holder to fail over to: the read reports
+  /// not-found once fewer than the missing landings are still in flight.
+  void abandon_branch(const std::shared_ptr<Read>& read);
+  /// k branches landed: cancel the losers, then decode (erasure) and
+  /// deliver.
+  void complete_read(const std::shared_ptr<Read>& read);
 
   /// Drops a corrupted replica from its object's replica set and queues
   /// re-replication (the checksum-detected analogue of a media crash).
@@ -468,58 +497,6 @@ class ObjectStore {
   void purge_corrupted(const ObjectKey& key);
   void arm_scrub();
   void scrub_pass();
-
-  /// Shared state for one erasure-coded GET: k fragment fetches run in
-  /// parallel (plus at most one hedge fragment); the read completes when
-  /// any k fragments have landed, then pays the decode/reconstruction
-  /// cost at the client.
-  struct EcBranch {
-    cluster::NodeId server = cluster::kInvalidNode;
-    int fragment = -1;
-    net::FlowId flow = 0;
-    bool flow_active = false;
-    bool landed = false;
-    bool hedge = false;
-  };
-  struct EcRead {
-    ObjectKey key;
-    cluster::NodeId client = cluster::kInvalidNode;
-    util::Bytes size = 0;
-    util::Bytes fragment_bytes = 0;
-    util::TimeNs start = 0;
-    trace::SpanId span = trace::kNoSpan;
-    trace::SpanId hedge_span = trace::kNoSpan;
-    GetCallback cb;
-    bool done = false;
-    bool meta_degraded = false;  // object below placement at GET time
-    bool corrupted = false;      // rotten fragment served (checksums off)
-    bool hedged = false;
-    int waiting = 0;   // fragment landings still required (k - landed)
-    int inflight = 0;  // launched branches not yet landed or abandoned
-    std::set<cluster::NodeId> tried;
-    std::vector<EcBranch> branches;
-    std::string tier;  // tier of the nearest fragment (reporting)
-    cluster::NodeId served_by = cluster::kInvalidNode;
-  };
-
-  /// Erasure-coded GET: fetch the k nearest surviving fragments in
-  /// parallel (reconstructing through parity when data fragments are
-  /// dead or rotten), then decode at the client. Checksummed fragment
-  /// reads fail over to unused survivors; with hedging on, one extra
-  /// fragment read covers the straggler.
-  void get_erasure(cluster::NodeId client, const ObjectKey& key,
-                   const ObjectMeta& meta, util::TimeNs start,
-                   trace::SpanId span, GetCallback on_done);
-  /// Launches one fragment fetch; `hedge` marks the extra hedge branch.
-  void launch_ec_branch(const std::shared_ptr<EcRead>& read,
-                        cluster::NodeId server, int fragment, bool hedge);
-  void finish_ec_branch(const std::shared_ptr<EcRead>& read, int branch);
-  /// A fragment branch died (no clean survivor to fail over to).
-  void abandon_ec_branch(const std::shared_ptr<EcRead>& read);
-  /// All k fragments landed: cancel stragglers, decode, deliver.
-  void complete_ec_read(const std::shared_ptr<EcRead>& read);
-  /// Hedge-fire delay from the GET latency quantile (floor until warm).
-  util::TimeNs hedge_delay() const;
 
   /// Replicas/fragments the object should hold (capped by server count).
   int placed_copies() const;
@@ -574,7 +551,6 @@ class ObjectStore {
     sim::EventId escalate = 0;
   };
   std::map<cluster::NodeId, SuspectState> suspects_;
-  std::int64_t suspects_cleared_ = 0;
   /// Pending repairs. Drained risk-first: the object with the fewest
   /// surviving spare copies (an EC stripe one fragment from loss) is
   /// repaired before a freshly degraded one, ties in key order.
@@ -590,21 +566,12 @@ class ObjectStore {
   bool repair_pump_armed_ = false;  // breaker-deferred pump pending
   // Fencing state: minimum write epoch per node (absent = 1).
   std::map<cluster::NodeId, std::int64_t> fence_epoch_;
-  std::int64_t writes_fenced_ = 0;
   // Gray-failure state: replicas whose stored payload is bit-rotten.
   std::set<std::pair<ObjectKey, cluster::NodeId>> corrupted_replicas_;
   /// Entries under scrub verification right now (subset of the above;
   /// they stay corrupted until the verification read completes).
   std::set<std::pair<ObjectKey, cluster::NodeId>> scrub_inflight_;
   bool scrub_armed_ = false;
-  std::int64_t hedges_launched_ = 0;
-  std::int64_t hedge_wins_ = 0;
-  std::int64_t hedges_cancelled_ = 0;
-  util::Bytes hedge_wasted_bytes_ = 0;
-  std::int64_t checksum_failures_ = 0;
-  std::int64_t corrupted_reads_surfaced_ = 0;
-  std::int64_t replicas_scrubbed_ = 0;
-  int lost_objects_ = 0;
   int underrep_count_ = 0;
   util::TimeNs underrep_last_ = 0;
   double underrep_ns_ = 0;  // object·ns integral up to underrep_last_

@@ -36,7 +36,7 @@ void run_seed(std::uint64_t seed) {
   storage::ObjectStoreConfig config;
   config.replicas = 2;
   config.hedged_reads = true;
-  config.hedge_min_delay = util::millis(1);
+  config.hedge.min_delay = util::millis(1);
   config.checksum_reads = true;
   config.scrub = true;
   config.scrub_interval = util::millis(100);

@@ -58,7 +58,7 @@ Fingerprint run_seed(std::uint64_t seed) {
   storage::ObjectStoreConfig config;
   config.replicas = 3;
   config.hedged_reads = true;
-  config.hedge_min_delay = util::millis(5);
+  config.hedge.min_delay = util::millis(5);
   config.repair_jitter = 0.25;  // seeded repair-wave desynchronization
   config.repair_seed = seed;
   storage::ObjectStore store(sim, cluster, fabric, io,

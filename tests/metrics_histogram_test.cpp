@@ -228,5 +228,19 @@ TEST(Histogram, MergePreservesStddevAtLargeOffsets) {
   EXPECT_DOUBLE_EQ(left.stddev(), before);
 }
 
+TEST(HedgePolicy, FloorsUntilWarmThenTracksTheQuantile) {
+  const HedgePolicy policy{95.0, util::millis(2), 20};
+  Histogram slow_us;
+  for (int i = 0; i < 19; ++i) slow_us.record(10'000);
+  EXPECT_EQ(policy.delay(slow_us), util::millis(2));  // still warming up
+  slow_us.record(10'000);
+  EXPECT_NEAR(static_cast<double>(policy.delay(slow_us)),
+              static_cast<double>(util::millis(10)), util::millis(10) / 50.0);
+  // A quantile below the floor still waits the floor.
+  Histogram fast_us;
+  for (int i = 0; i < 20; ++i) fast_us.record(100);
+  EXPECT_EQ(policy.delay(fast_us), util::millis(2));
+}
+
 }  // namespace
 }  // namespace evolve::metrics

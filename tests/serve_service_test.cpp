@@ -235,8 +235,8 @@ TEST(ServeService, HedgingRescuesRequestsOnSlowReplica) {
   config.policy = BalancePolicy::kLeastOutstanding;
   config.replica.batch.max_batch = 1;
   config.hedging = true;
-  config.hedge_min_delay = util::millis(2);
-  config.hedge_min_samples = 1 << 20;  // pin the delay to hedge_min_delay
+  config.hedge.min_delay = util::millis(2);
+  config.hedge.min_samples = 1 << 20;  // pin the delay to hedge.min_delay
   Service& svc = f.make_service(config);
   f.sim.run();
   // One replica 50x slow: its 3 ms singleton batch takes 150 ms, far
@@ -259,8 +259,8 @@ TEST(ServeService, NoHedgeWithoutASecondReplica) {
   ServiceConfig config;
   config.replica.batch.max_batch = 1;
   config.hedging = true;
-  config.hedge_min_delay = util::micros(100);
-  config.hedge_min_samples = 1 << 20;
+  config.hedge.min_delay = util::micros(100);
+  config.hedge.min_samples = 1 << 20;
   Service& svc = f.make_service(config);
   f.sim.run();
   const auto compute = f.cluster.nodes_with_label("role=compute");
@@ -351,7 +351,7 @@ ScenarioResult run_scenario(bool traced) {
   config.replica.batch.max_batch = 4;
   config.replica.batch.max_linger = util::micros(500);
   config.hedging = true;
-  config.hedge_min_delay = util::millis(5);
+  config.hedge.min_delay = util::millis(5);
   config.admission.enabled = true;
   config.admission.target = util::millis(20);
   config.admission.interval = util::millis(20);

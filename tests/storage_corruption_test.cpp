@@ -168,6 +168,54 @@ TEST(Corruption, AllReplicasRottenReportsNotFound) {
   EXPECT_EQ(f.store.checksum_failures(), 1);
 }
 
+TEST(Corruption, ChecksummedBlockReadFailsOverToCleanReplica) {
+  ObjectStoreConfig config = full_replication();
+  config.checksum_reads = true;
+  CorruptionFixture f(config);
+  f.put_objects(1);
+  const ObjectKey key{"b", "obj0"};
+  constexpr util::Bytes kBlock = 16 * util::kKiB;
+  // Rot the replica this client's block reads prefer.
+  GetResult probe;
+  f.store.read_block(0, key, kBlock, [&](const GetResult& r) { probe = r; });
+  f.sim.run();
+  ASSERT_TRUE(probe.found);
+  const cluster::NodeId rotten = probe.served_by;
+  ASSERT_TRUE(f.store.corrupt_replica(key, rotten));
+
+  GetResult result;
+  f.store.read_block(0, key, kBlock, [&](const GetResult& r) { result = r; });
+  f.sim.run();
+  EXPECT_TRUE(result.found);
+  EXPECT_EQ(result.size, kBlock);
+  EXPECT_FALSE(result.corrupted);
+  EXPECT_NE(result.served_by, rotten);
+  EXPECT_EQ(f.store.checksum_failures(), 1);
+  EXPECT_EQ(f.store.corrupted_reads_surfaced(), 0);
+  // The rotten copy was dropped, like after a checksummed GET.
+  EXPECT_EQ(f.store.metrics().counter("corrupted_replicas_dropped"), 1);
+  EXPECT_EQ(f.store.corrupted_replica_count(), 0);
+}
+
+TEST(Corruption, AllReplicasRottenBlockReadReportsNotFound) {
+  ObjectStoreConfig config = full_replication();
+  config.checksum_reads = true;
+  CorruptionFixture f(config);
+  f.put_objects(1);
+  const ObjectKey key{"b", "obj0"};
+  for (auto server : f.store.servers()) f.store.corrupt_replica(key, server);
+  GetResult result;
+  result.found = true;
+  f.store.read_block(0, key, 16 * util::kKiB,
+                     [&](const GetResult& r) { result = r; });
+  f.sim.run();
+  EXPECT_FALSE(result.found);
+  EXPECT_FALSE(result.corrupted);
+  EXPECT_EQ(f.store.metrics().counter("get_unreadable"), 1);
+  EXPECT_EQ(f.store.checksum_failures(), 1);
+  EXPECT_EQ(f.store.corrupted_reads_surfaced(), 0);
+}
+
 TEST(Corruption, ScrubberRepairsAllRotAndDrains) {
   ObjectStoreConfig config;
   config.replicas = 2;
@@ -192,7 +240,7 @@ TEST(HedgedReads, AccountingBalancesAndFlowsDrain) {
   ObjectStoreConfig config;
   config.replicas = 2;
   config.hedged_reads = true;
-  config.hedge_min_delay = util::millis(1);
+  config.hedge.min_delay = util::millis(1);
   CorruptionFixture f(config);
   f.put_objects(6, 4 * util::kMiB);
   int completed = 0;
@@ -221,7 +269,7 @@ TEST(HedgedReads, HedgeWinsAgainstDegradedPrimary) {
   ObjectStoreConfig config;
   config.replicas = 2;
   config.hedged_reads = true;
-  config.hedge_min_delay = util::millis(1);
+  config.hedge.min_delay = util::millis(1);
   CorruptionFixture f(config, /*storage=*/4);
   fault::GrayInjector gray(f.sim);
   fault::connect(gray, f.fabric);

@@ -54,7 +54,7 @@ Signature run_seed(std::uint64_t seed, bool traced) {
   config.ec_data = 4;
   config.ec_parity = 2;
   config.hedged_reads = true;
-  config.hedge_min_delay = util::millis(1);
+  config.hedge.min_delay = util::millis(1);
   config.checksum_reads = true;
   config.scrub = true;
   config.scrub_interval = util::millis(20);

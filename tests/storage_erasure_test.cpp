@@ -254,6 +254,30 @@ TEST(ErasureCoding, DegradedReadReconstructsThroughParity) {
   EXPECT_EQ(f.store.metrics().counter("ec_reconstructed_reads"), 1);
 }
 
+TEST(ErasureCoding, ChecksummedReadReconstructsAroundRottenFragment) {
+  ObjectStoreConfig config = EcFixture::ec42();
+  config.checksum_reads = true;
+  EcFixture f(6, config);
+  const ObjectKey key{"data", "obj"};
+  f.store.preload(key, 4 * util::kMiB);
+  // Rot data fragment 0: the read must fail over to a parity fragment
+  // and reconstruct instead of decoding rotten bytes.
+  const cluster::NodeId rotten = f.store.locate(key)[0];
+  ASSERT_TRUE(f.store.corrupt_replica(key, rotten));
+  GetResult result;
+  f.store.get(0, key, [&](const GetResult& r) { result = r; });
+  f.sim.run();
+  EXPECT_TRUE(result.found);
+  EXPECT_EQ(result.size, 4 * util::kMiB);
+  EXPECT_FALSE(result.corrupted);
+  EXPECT_TRUE(result.degraded);
+  EXPECT_GE(result.parity_fragments_used, 1);
+  EXPECT_EQ(f.store.checksum_failures(), 1);
+  EXPECT_EQ(f.store.corrupted_reads_surfaced(), 0);
+  EXPECT_EQ(f.store.metrics().counter("corrupted_replicas_dropped"), 1);
+  EXPECT_EQ(f.store.corrupted_replica_count(), 0);
+}
+
 TEST(ErasureCoding, DegradedReadCostsMoreThanCleanRead) {
   auto timed_get = [](int dead_holders) {
     EcFixture f;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "net/fabric.hpp"
@@ -39,6 +42,23 @@ TEST(ObjectStore, RequiresServers) {
   IoSubsystem io(sim, cluster);
   EXPECT_THROW(ObjectStore(sim, cluster, fabric, io, {}),
                std::invalid_argument);
+}
+
+TEST(ObjectStore, KeysWithSlashesDoNotAlias) {
+  // Both keys spell "a/b/c" when joined; they are still distinct keys.
+  const ObjectKey left{"a", "b/c"};
+  const ObjectKey right{"a/b", "c"};
+  EXPECT_TRUE(left < right);
+  EXPECT_FALSE(right < left);
+  std::map<ObjectKey, int> keys{{left, 1}, {right, 2}};
+  EXPECT_EQ(keys.size(), 2u);
+  // Names may hold '/', buckets may not.
+  StoreFixture f;
+  EXPECT_THROW(f.store.create_bucket("a/b"), std::invalid_argument);
+  EXPECT_FALSE(f.store.bucket_exists("a/b"));
+  f.store.create_bucket("a");
+  f.store.preload(left, util::kKiB);
+  EXPECT_EQ(f.store.list("a"), std::vector<std::string>{"b/c"});
 }
 
 TEST(ObjectStore, PutThenGetRoundTrips) {

@@ -30,10 +30,17 @@ void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: inlined into a caller, the free() inside would be
+// paired with that caller's `operator new` call, which GCC's
+// -Wmismatched-new-delete reports (under -fsanitize) as a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace evolve::trace {
 namespace {
