@@ -3,7 +3,9 @@
 # simulation-kernel churn and fault-recovery benches in --json mode and
 # diff their deterministic metrics against the tracked repo-root
 # baselines, run the traced benches and strictly validate every emitted
-# BENCH_*.json / TRACE_*.json, then rebuild + retest under ASan/UBSan.
+# BENCH_*.json / TRACE_*.json, then rebuild + retest under ASan/UBSan
+# and run every bench there. Ends with each bench run's host wall time
+# and the suite total (reported, not gated).
 # Run from the repo root:
 #
 #   scripts/check.sh [build-dir]
@@ -19,19 +21,35 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 
-(cd "$BUILD_DIR" && ./bench/bench_f9_churn --json)
-(cd "$BUILD_DIR" && ./bench/bench_f10_faults --json)
-(cd "$BUILD_DIR" && ./bench/bench_f11_gray --json)
-(cd "$BUILD_DIR" && ./bench/bench_a4_speculation --json)
-(cd "$BUILD_DIR" && ./bench/bench_a5_redundancy --json)
-(cd "$BUILD_DIR" && ./bench/bench_f7_autoscale --json)
-(cd "$BUILD_DIR" && ./bench/bench_f12_serving --json)
-(cd "$BUILD_DIR" && ./bench/bench_f13_scale --json)
-(cd "$BUILD_DIR" && ./bench/bench_f5_storage --json)
-(cd "$BUILD_DIR" && ./bench/bench_f14_durability --json)
-(cd "$BUILD_DIR" && ./bench/bench_f15_fairness --json)
-(cd "$BUILD_DIR" && ./bench/bench_f16_partitions --json)
-(cd "$BUILD_DIR" && ./bench/bench_f17_tablets --json)
+# run_bench DIR NAME [ARGS...] runs DIR/bench/bench_NAME with ARGS from
+# inside DIR (benches write BENCH_*/TRACE_* reports to the current
+# directory) and records its host wall time for the closing table. The
+# timings are reported only: no gate or bound reads them.
+BENCH_RUNS=()
+BENCH_SECONDS=()
+run_bench() {
+  local dir="$1" name="$2"
+  shift 2
+  local start="$EPOCHREALTIME"
+  (cd "$dir" && "./bench/bench_$name" "$@")
+  BENCH_RUNS+=("$dir: $name${*:+ $*}")
+  BENCH_SECONDS+=("$(awk -v s="$start" -v e="$EPOCHREALTIME" \
+    'BEGIN { printf "%.2f", e - s }')")
+}
+
+run_bench "$BUILD_DIR" f9_churn --json
+run_bench "$BUILD_DIR" f10_faults --json
+run_bench "$BUILD_DIR" f11_gray --json
+run_bench "$BUILD_DIR" a4_speculation --json
+run_bench "$BUILD_DIR" a5_redundancy --json
+run_bench "$BUILD_DIR" f7_autoscale --json
+run_bench "$BUILD_DIR" f12_serving --json
+run_bench "$BUILD_DIR" f13_scale --json
+run_bench "$BUILD_DIR" f5_storage --json
+run_bench "$BUILD_DIR" f14_durability --json
+run_bench "$BUILD_DIR" f15_fairness --json
+run_bench "$BUILD_DIR" f16_partitions --json
+run_bench "$BUILD_DIR" f17_tablets --json
 
 # -- Baseline diffs (before any --trace run touches the reports) -------
 # F9 mixes simulated metrics with host wall-clock timings; only the
@@ -192,19 +210,19 @@ awk -v fresh="$fresh_eps" -v base="$base_eps" -v speedup="$fresh_speedup" \
 }'
 
 # -- Traced runs + strict JSON validation ------------------------------
-(cd "$BUILD_DIR" && ./bench/bench_t1_endtoend --trace --json)
-(cd "$BUILD_DIR" && ./bench/bench_f10_faults --trace --json)
+run_bench "$BUILD_DIR" t1_endtoend --trace --json
+run_bench "$BUILD_DIR" f10_faults --trace --json
 # Tracing must not perturb the simulation: the traced F11 rerun has to
 # reproduce the tracked baseline bit for bit.
-(cd "$BUILD_DIR" && ./bench/bench_f11_gray --trace --json)
+run_bench "$BUILD_DIR" f11_gray --trace --json
 diff "$BUILD_DIR/BENCH_f11_gray.json" BENCH_f11_gray.json \
   || { echo "check.sh: BENCH_f11_gray.json changed under --trace"; exit 1; }
 # Same observational-tracing guarantee for the serving bench.
-(cd "$BUILD_DIR" && ./bench/bench_f12_serving --trace --json)
+run_bench "$BUILD_DIR" f12_serving --trace --json
 diff "$BUILD_DIR/BENCH_f12_serving.json" BENCH_f12_serving.json \
   || { echo "check.sh: BENCH_f12_serving.json changed under --trace"; exit 1; }
 # Tablet spans (tablet.op/serve/exec/wal/flush) must be observational too.
-(cd "$BUILD_DIR" && ./bench/bench_f17_tablets --trace --json)
+run_bench "$BUILD_DIR" f17_tablets --trace --json
 diff "$BUILD_DIR/BENCH_f17_tablets.json" BENCH_f17_tablets.json \
   || { echo "check.sh: BENCH_f17_tablets.json changed under --trace"; exit 1; }
 (cd "$BUILD_DIR" && ./tools/json_check BENCH_*.json TRACE_*.json)
@@ -216,35 +234,63 @@ if [[ "${EVOLVE_SKIP_SANITIZERS:-0}" != "1" ]]; then
   (cd "$SAN_DIR" && ctest --output-on-failure -j "$(nproc)")
   # Drive the calendar queue, SmallFn, and slab/arena hot paths (and the
   # preserved reference heap) end to end under ASan/UBSan.
-  (cd "$SAN_DIR" && ./bench/bench_f13_scale --quick)
+  run_bench "$SAN_DIR" f13_scale --quick
   # Drive the erasure-coding GET/hedge/repair machinery (fragment fan-out,
   # straggler cancellation, throttled rebuild) end to end under ASan/UBSan.
-  (cd "$SAN_DIR" && ./bench/bench_f14_durability)
+  run_bench "$SAN_DIR" f14_durability
   # Drive the object store's read race (replicated and erasure-coded
   # GETs; F17 below covers block reads) end to end under ASan/UBSan:
   # platform dataset reads (T1), tiered replicated GETs (F5),
   # replication vs EC reads (A5), reads through crashes and repair
   # (F10), and hedges, checksum failover and scrubbing (F11).
-  (cd "$SAN_DIR" && ./bench/bench_t1_endtoend)
-  (cd "$SAN_DIR" && ./bench/bench_f5_storage)
-  (cd "$SAN_DIR" && ./bench/bench_a5_redundancy)
-  (cd "$SAN_DIR" && ./bench/bench_f10_faults)
-  (cd "$SAN_DIR" && ./bench/bench_f11_gray)
+  run_bench "$SAN_DIR" t1_endtoend
+  run_bench "$SAN_DIR" f5_storage
+  run_bench "$SAN_DIR" a5_redundancy
+  run_bench "$SAN_DIR" f10_faults
+  run_bench "$SAN_DIR" f11_gray
   # Drive the fair-share pool tree, preemption, disruption budgets, and
   # the rebalancer end to end under ASan/UBSan (the ctest pass above
   # already covers the PoolTree/Preemption/Rebalancer unit tests).
-  (cd "$SAN_DIR" && ./bench/bench_f15_fairness)
+  run_bench "$SAN_DIR" f15_fairness
   # Drive the partition park/resume, lease/fencing, and retry-budget
   # paths end to end under ASan/UBSan.
-  (cd "$SAN_DIR" && ./bench/bench_f16_partitions)
+  run_bench "$SAN_DIR" f16_partitions
   # Drive the tablet layer — WAL group commit, flush/generation reads,
   # split/merge/move, fencing, stale-route retries — end to end under
   # ASan/UBSan (the ctest pass above already covers the tablet unit and
   # 100-seed soak tests).
-  (cd "$SAN_DIR" && ./bench/bench_f17_tablets)
+  run_bench "$SAN_DIR" f17_tablets
+  # Every remaining bench, so each one runs under ASan/UBSan: the
+  # delay-scheduling, gang, tiering (Zipf CDF table), speculation and
+  # optimizer ablations; the scaling, collectives, accelerator,
+  # scheduler, ML, autoscaling, energy, fabric-churn and serving
+  # figures; and the micro-benchmarks.
+  run_bench "$SAN_DIR" a1_delay
+  run_bench "$SAN_DIR" a2_gang
+  run_bench "$SAN_DIR" a3_tiers
+  run_bench "$SAN_DIR" a4_speculation
+  run_bench "$SAN_DIR" a6_optimizer
+  run_bench "$SAN_DIR" f1_scaling
+  run_bench "$SAN_DIR" f2_collectives
+  run_bench "$SAN_DIR" f3_accel
+  run_bench "$SAN_DIR" f4_sched
+  run_bench "$SAN_DIR" f6_ml
+  run_bench "$SAN_DIR" f7_autoscale
+  run_bench "$SAN_DIR" f8_energy
+  run_bench "$SAN_DIR" f9_churn
+  run_bench "$SAN_DIR" f12_serving
+  run_bench "$SAN_DIR" t2_micro
   echo
   echo "check.sh: sanitizer (ASan/UBSan) test pass clean in $SAN_DIR"
 fi
+
+echo
+echo "check.sh: per-bench host wall time"
+for i in "${!BENCH_RUNS[@]}"; do
+  printf '  %-48s %8s s\n' "${BENCH_RUNS[$i]}" "${BENCH_SECONDS[$i]}"
+done
+printf '%s\n' "${BENCH_SECONDS[@]}" \
+  | awk '{ total += $1 } END { printf "  %-48s %8.2f s\n", "suite total", total }'
 
 echo
 echo "check.sh: all tests passed; reports in $BUILD_DIR/BENCH_*.json, traces in $BUILD_DIR/TRACE_*.json"

@@ -1,6 +1,7 @@
 #include "serve/generator.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 namespace evolve::serve {
@@ -28,6 +29,14 @@ RequestGenerator::RequestGenerator(sim::Simulation& sim,
   }
   if (config_.horizon <= 0) {
     throw std::invalid_argument("horizon must be > 0");
+  }
+  if (config_.key_dist != KeyDistribution::kNone &&
+      (config_.keys == 0 ||
+       config_.keys > static_cast<std::uint64_t>(INT64_MAX))) {
+    throw std::invalid_argument("keys must be in [1, INT64_MAX]");
+  }
+  if (config_.key_dist == KeyDistribution::kZipf && !(config_.zipf_s >= 0)) {
+    throw std::invalid_argument("zipf_s must be >= 0 (and not NaN)");
   }
 }
 

@@ -49,8 +49,8 @@ struct GeneratorConfig {
   util::TimeNs horizon = util::seconds(10);  // no arrivals at/after this
   /// Key sampling for stateful backends (off by default).
   KeyDistribution key_dist = KeyDistribution::kNone;
-  std::uint64_t keys = 1;  // key-space size when key_dist != kNone
-  double zipf_s = 1.1;     // skew for kZipf
+  std::uint64_t keys = 1;  // key-space size (1..INT64_MAX) unless kNone
+  double zipf_s = 1.1;     // skew for kZipf (>= 0)
 };
 
 class RequestGenerator {

@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -90,23 +91,24 @@ std::int64_t Rng::poisson(double mean) {
 
 std::int64_t Rng::zipf(std::int64_t n, double s) {
   if (n <= 0) throw std::invalid_argument("zipf: n <= 0");
+  if (!(s >= 0.0)) throw std::invalid_argument("zipf: s < 0 or NaN");
   if (s == 0.0) return uniform_int(0, n - 1);
   if (n != zipf_n_ || s != zipf_s_) {
+    zipf_cdf_.resize(static_cast<std::size_t>(n));
+    double acc = 0.0;
+    for (std::int64_t i = 1; i <= n; ++i) {
+      acc += 1.0 / std::pow(static_cast<double>(i), s);
+      zipf_cdf_[static_cast<std::size_t>(i - 1)] = acc;
+    }
     zipf_n_ = n;
     zipf_s_ = s;
-    zipf_norm_ = 0.0;
-    for (std::int64_t i = 1; i <= n; ++i) {
-      zipf_norm_ += 1.0 / std::pow(static_cast<double>(i), s);
-    }
   }
-  // Inverse CDF by linear scan; adequate for the catalog sizes we model.
-  const double target = next_double() * zipf_norm_;
-  double acc = 0.0;
-  for (std::int64_t i = 1; i <= n; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i), s);
-    if (acc >= target) return i - 1;
-  }
-  return n - 1;
+  // Inverse CDF: the first rank whose running sum reaches the target.
+  const double target = next_double() * zipf_cdf_.back();
+  const auto it =
+      std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), target);
+  if (it == zipf_cdf_.end()) return n - 1;
+  return it - zipf_cdf_.begin();
 }
 
 double Rng::lognormal(double mu, double sigma) {

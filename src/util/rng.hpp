@@ -41,7 +41,9 @@ class Rng {
   /// normal approximation above 64).
   std::int64_t poisson(double mean);
 
-  /// Zipf-distributed rank in [0, n) with skew `s` (s=0 is uniform).
+  /// Zipf-distributed rank in [0, n) with skew `s` (s=0 is uniform, key 0
+  /// is hottest otherwise). O(log n) per draw once the CDF table for
+  /// (n, s) is built. Throws on n <= 0 and on a negative or NaN `s`.
   std::int64_t zipf(std::int64_t n, double s);
 
   /// Log-normal: exp(normal(mu, sigma)).
@@ -58,10 +60,12 @@ class Rng {
 
  private:
   std::array<std::uint64_t, 4> state_{};
-  // Cached Zipf normalization: recomputed when (n, s) changes.
+  // Zipf prefix-sum CDF for (zipf_n_, zipf_s_): zipf_cdf_[i] is the sum of
+  // 1/j^s for j in 1..i+1, so back() is the normaliser. 8*n bytes per Rng
+  // that draws Zipf; rebuilt when (n, s) changes.
   std::int64_t zipf_n_ = -1;
   double zipf_s_ = -1.0;
-  double zipf_norm_ = 0.0;
+  std::vector<double> zipf_cdf_;
 };
 
 }  // namespace evolve::util

@@ -3,6 +3,8 @@
 // latency-aware scaling signal.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "serve/admission.hpp"
@@ -262,6 +264,37 @@ TEST(Generator, ValidatesConfig) {
   EXPECT_THROW(RequestGenerator(sim, bad, sink), std::invalid_argument);
   EXPECT_THROW(RequestGenerator(sim, generator_config(), nullptr),
                std::invalid_argument);
+  // Key-space and skew errors surface at construction, not at the first
+  // arrival.
+  for (KeyDistribution dist :
+       {KeyDistribution::kUniform, KeyDistribution::kZipf}) {
+    bad = generator_config();
+    bad.key_dist = dist;
+    bad.keys = 0;
+    EXPECT_THROW(RequestGenerator(sim, bad, sink), std::invalid_argument);
+    bad.keys = static_cast<std::uint64_t>(INT64_MAX) + 1;
+    EXPECT_THROW(RequestGenerator(sim, bad, sink), std::invalid_argument);
+  }
+  bad = generator_config();
+  bad.key_dist = KeyDistribution::kZipf;
+  bad.keys = 100;
+  bad.zipf_s = -0.5;
+  EXPECT_THROW(RequestGenerator(sim, bad, sink), std::invalid_argument);
+  bad.zipf_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(RequestGenerator(sim, bad, sink), std::invalid_argument);
+  // The skew is only checked when keys are Zipf-drawn, and an unused key
+  // space is never checked.
+  GeneratorConfig ok = generator_config();
+  ok.key_dist = KeyDistribution::kUniform;
+  ok.zipf_s = -0.5;
+  EXPECT_NO_THROW(RequestGenerator(sim, ok, sink));
+  ok = generator_config();
+  ok.keys = 0;
+  EXPECT_NO_THROW(RequestGenerator(sim, ok, sink));
+  ok.key_dist = KeyDistribution::kZipf;
+  ok.keys = static_cast<std::uint64_t>(INT64_MAX);
+  ok.zipf_s = 0.0;
+  EXPECT_NO_THROW(RequestGenerator(sim, ok, sink));
 }
 
 std::vector<Request> run_poisson(GeneratorConfig config) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace evolve::util {
@@ -130,6 +132,105 @@ TEST(Rng, ZipfBoundsRespected) {
     const auto v = rng.zipf(7, 0.9);
     EXPECT_GE(v, 0);
     EXPECT_LT(v, 7);
+  }
+}
+
+TEST(Rng, ZipfRejectsBadParameters) {
+  Rng rng(1);
+  EXPECT_THROW(rng.zipf(0, 1.0), std::invalid_argument);
+  EXPECT_THROW(rng.zipf(10, -0.5), std::invalid_argument);
+  EXPECT_THROW(rng.zipf(10, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  // A rejected call draws nothing: the stream continues as if it never
+  // happened.
+  Rng fresh(1);
+  EXPECT_EQ(rng.next_u64(), fresh.next_u64());
+}
+
+// Reference Zipf sampler: the original inverse CDF by linear scan, kept
+// here to pin the draw stream. Each term 1/i^s is computed once per (n, s)
+// rather than on every draw, which keeps the test fast without changing
+// any double: the normaliser and every partial sum come from the same
+// left-to-right additions of the same terms.
+class LinearScanZipf {
+ public:
+  std::int64_t draw(Rng& rng, std::int64_t n, double s) {
+    if (s == 0.0) return rng.uniform_int(0, n - 1);
+    if (n != n_ || s != s_) {
+      n_ = n;
+      s_ = s;
+      terms_.clear();
+      norm_ = 0.0;
+      for (std::int64_t i = 1; i <= n; ++i) {
+        terms_.push_back(1.0 / std::pow(static_cast<double>(i), s));
+        norm_ += terms_.back();
+      }
+    }
+    const double target = rng.next_double() * norm_;
+    double acc = 0.0;
+    for (std::int64_t i = 1; i <= n; ++i) {
+      acc += terms_[static_cast<std::size_t>(i - 1)];
+      if (acc >= target) return i - 1;
+    }
+    return n - 1;
+  }
+
+ private:
+  std::int64_t n_ = -1;
+  double s_ = -1.0;
+  double norm_ = 0.0;
+  std::vector<double> terms_;
+};
+
+TEST(Rng, ZipfMatchesLinearScanReference) {
+  struct Case {
+    std::int64_t n;
+    double s;
+  };
+  for (const Case c : {Case{1, 1.0}, Case{7, 0.9}, Case{100, 1.2},
+                       Case{65536, 1.05}, Case{65536, 0.9}}) {
+    Rng rng(1234), ref_rng(1234);
+    LinearScanZipf ref;
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(rng.zipf(c.n, c.s), ref.draw(ref_rng, c.n, c.s))
+          << "n=" << c.n << " s=" << c.s << " draw " << i;
+    }
+  }
+
+  // One generator switching (n, s) rebuilds its table each time; a
+  // uniform (s = 0) draw in between must not disturb it.
+  {
+    Rng rng(77), ref_rng(77);
+    LinearScanZipf ref;
+    for (int block = 0; block < 40; ++block) {
+      const std::int64_t n = block % 2 == 0 ? 4096 : 100;
+      const double s = block % 2 == 0 ? 1.05 : 0.7;
+      for (int i = 0; i < 250; ++i) {
+        ASSERT_EQ(rng.zipf(n, s), ref.draw(ref_rng, n, s))
+            << "block " << block << " draw " << i;
+      }
+      ASSERT_EQ(rng.zipf(50, 0.0), ref.draw(ref_rng, 50, 0.0));
+    }
+    for (int i = 0; i < 2000; ++i) {
+      const std::int64_t n = i % 2 == 0 ? 7 : 300;
+      const double s = i % 2 == 0 ? 0.9 : 1.3;
+      ASSERT_EQ(rng.zipf(n, s), ref.draw(ref_rng, n, s)) << "draw " << i;
+    }
+  }
+
+  // A copy taken mid-stream carries the table and the generator state.
+  {
+    Rng original(2024), ref_rng(2024);
+    LinearScanZipf ref;
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_EQ(original.zipf(65536, 1.05), ref.draw(ref_rng, 65536, 1.05));
+    }
+    Rng copy = original;
+    for (int i = 0; i < 10000; ++i) {
+      const std::int64_t expected = ref.draw(ref_rng, 65536, 1.05);
+      ASSERT_EQ(original.zipf(65536, 1.05), expected) << "draw " << i;
+      ASSERT_EQ(copy.zipf(65536, 1.05), expected) << "draw " << i;
+    }
   }
 }
 
