@@ -37,6 +37,12 @@ run_bench() {
     'BEGIN { printf "%.2f", e - s }')")
 }
 
+# bench_metric FILE KEY prints the value of the top-level "KEY": line of
+# the bench report FILE (one key per line, as the benches write them).
+bench_metric() {
+  awk -v key="\"$2\":" '$1 == key { gsub(/,/, "", $2); print $2 }' "$1"
+}
+
 run_bench "$BUILD_DIR" f9_churn --json
 run_bench "$BUILD_DIR" f10_faults --json
 run_bench "$BUILD_DIR" f11_gray --json
@@ -87,11 +93,8 @@ echo "check.sh: bench metrics match the tracked baselines"
 # The fair-share scheduler must actually deliver fairness: Jain index
 # >= 0.9 with the pool tree on, and a real gap over the priority-only
 # baseline. Both values are simulation-deterministic.
-f15_metric() {
-  awk -v key="\"$2\":" '$1 == key { gsub(/,/, "", $2); print $2 }' "$1"
-}
-jain_fair=$(f15_metric "$BUILD_DIR/BENCH_f15_fairness.json" jain_fair)
-jain_priority=$(f15_metric "$BUILD_DIR/BENCH_f15_fairness.json" jain_priority)
+jain_fair=$(bench_metric "$BUILD_DIR/BENCH_f15_fairness.json" jain_fair)
+jain_priority=$(bench_metric "$BUILD_DIR/BENCH_f15_fairness.json" jain_priority)
 awk -v fair="$jain_fair" -v prio="$jain_priority" 'BEGIN {
   if (fair < 0.9) {
     printf "check.sh: F15 Jain index with fair share on is %.3f (< 0.9 floor)\n", fair
@@ -110,13 +113,10 @@ awk -v fair="$jain_fair" -v prio="$jain_priority" 'BEGIN {
 # lease TTL's worth of seconds degraded; defenses-off must exhibit the
 # measurably degraded (retry-storm) recovery the defenses exist to
 # prevent. All four values are simulation-deterministic.
-f16_metric() {
-  awk -v key="\"$2\":" '$1 == key { gsub(/,/, "", $2); print $2 }' "$1"
-}
-on_recovery=$(f16_metric "$BUILD_DIR/BENCH_f16_partitions.json" on_recovery_ratio)
-off_recovery=$(f16_metric "$BUILD_DIR/BENCH_f16_partitions.json" off_recovery_ratio)
-on_degraded=$(f16_metric "$BUILD_DIR/BENCH_f16_partitions.json" on_degraded_seconds)
-off_degraded=$(f16_metric "$BUILD_DIR/BENCH_f16_partitions.json" off_degraded_seconds)
+on_recovery=$(bench_metric "$BUILD_DIR/BENCH_f16_partitions.json" on_recovery_ratio)
+off_recovery=$(bench_metric "$BUILD_DIR/BENCH_f16_partitions.json" off_recovery_ratio)
+on_degraded=$(bench_metric "$BUILD_DIR/BENCH_f16_partitions.json" on_degraded_seconds)
+off_degraded=$(bench_metric "$BUILD_DIR/BENCH_f16_partitions.json" off_degraded_seconds)
 awk -v on="$on_recovery" -v off="$off_recovery" \
     -v ond="$on_degraded" -v offd="$off_degraded" 'BEGIN {
   if (on < 0.9) {
@@ -145,15 +145,12 @@ awk -v on="$on_recovery" -v off="$off_recovery" \
 # windows and stale-route retries the balancer causes. The balancer must
 # also have done real work (splits and moves both nonzero). All values
 # are simulation-deterministic.
-f17_metric() {
-  awk -v key="\"$2\":" '$1 == key { gsub(/,/, "", $2); print $2 }' "$1"
-}
-f17_on_p99=$(f17_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_p99_ms)
-f17_off_p99=$(f17_metric "$BUILD_DIR/BENCH_f17_tablets.json" off_p99_ms)
-f17_on_goodput=$(f17_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_goodput)
-f17_off_goodput=$(f17_metric "$BUILD_DIR/BENCH_f17_tablets.json" off_goodput)
-f17_splits=$(f17_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_splits)
-f17_moves=$(f17_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_moves)
+f17_on_p99=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_p99_ms)
+f17_off_p99=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" off_p99_ms)
+f17_on_goodput=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_goodput)
+f17_off_goodput=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" off_goodput)
+f17_splits=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_splits)
+f17_moves=$(bench_metric "$BUILD_DIR/BENCH_f17_tablets.json" on_moves)
 awk -v onp="$f17_on_p99" -v offp="$f17_off_p99" \
     -v ong="$f17_on_goodput" -v offg="$f17_off_goodput" \
     -v splits="$f17_splits" -v moves="$f17_moves" 'BEGIN {
@@ -183,13 +180,10 @@ diff <(filter_f13_host_timing "$BUILD_DIR/BENCH_f13_scale.json") \
      <(filter_f13_host_timing BENCH_f13_scale.json) \
   || { echo "check.sh: BENCH_f13_scale.json deviates from baseline"; exit 1; }
 
-f13_metric() {
-  awk -v key="\"$2\":" '$1 == key { gsub(/,/, "", $2); print $2 }' "$1"
-}
-base_eps=$(f13_metric BENCH_f13_scale.json cal_10k_events_per_sec)
-base_speedup=$(f13_metric BENCH_f13_scale.json speedup_10k)
-fresh_eps=$(f13_metric "$BUILD_DIR/BENCH_f13_scale.json" cal_10k_events_per_sec)
-fresh_speedup=$(f13_metric "$BUILD_DIR/BENCH_f13_scale.json" speedup_10k)
+base_eps=$(bench_metric BENCH_f13_scale.json cal_10k_events_per_sec)
+base_speedup=$(bench_metric BENCH_f13_scale.json speedup_10k)
+fresh_eps=$(bench_metric "$BUILD_DIR/BENCH_f13_scale.json" cal_10k_events_per_sec)
+fresh_speedup=$(bench_metric "$BUILD_DIR/BENCH_f13_scale.json" speedup_10k)
 # The tracked baseline must keep claiming >= 3x; the fresh run only has to
 # clear a noise-tolerant floor (slower CI hosts, no pinned cores).
 awk -v fresh="$fresh_eps" -v base="$base_eps" -v speedup="$fresh_speedup" \

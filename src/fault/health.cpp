@@ -29,12 +29,10 @@ void HealthScorer::record(cluster::NodeId node, util::TimeNs service_time) {
   if (!state.flagged && state.samples >= config_.min_samples &&
       ratio > config_.flag_ratio) {
     state.flagged = true;
-    ++flags_;
     metrics_.count("nodes_flagged");
     for (const TransitionFn& fn : flag_subs_) fn(node, sim_.now());
   } else if (state.flagged && ratio < config_.clear_ratio) {
     state.flagged = false;
-    ++clears_;
     metrics_.count("nodes_cleared");
     for (const TransitionFn& fn : clear_subs_) fn(node, sim_.now());
   }
@@ -111,7 +109,6 @@ void QuarantineController::quarantine(cluster::NodeId node) {
   if (is_quarantined(node)) return;
   State& state = quarantined_[node];
   state.consecutive = ++requarantine_streak_[node];
-  ++quarantines_;
   metrics_.count("quarantines");
   metrics_.set_gauge("quarantined_nodes",
                      static_cast<double>(quarantined_.size()));
@@ -143,7 +140,6 @@ void QuarantineController::quarantine(cluster::NodeId node) {
     const auto it = quarantined_.find(node);
     if (it == quarantined_.end()) return;
     it->second.probe_pending = false;
-    ++probes_;
     metrics_.count("probes");
     scorer_.reset_node(node);
     release(node, /*via_probe=*/true);

@@ -117,14 +117,14 @@ class BatchQueue {
   /// fault-driven requeues then cost a token each; a job denied a token
   /// is held out of scheduling for `denied_hold << restarts` (saturating)
   /// before becoming eligible again — a mass gang-abort cannot restart
-  /// the whole machine at once while the budget is drained. Finished
-  /// jobs deposit. Null (default) disables.
+  /// the whole machine at once while the budget is drained (counted as
+  /// `requeues_held` in metrics()). Finished jobs deposit. Null
+  /// (default) disables.
   void set_retry_budget(util::RetryBudget* budget,
                         util::TimeNs denied_hold = util::seconds(1)) {
     retry_budget_ = budget;
     denied_hold_ = denied_hold;
   }
-  std::int64_t requeues_held() const { return requeues_held_; }
 
  private:
   struct JobRecord {
@@ -169,7 +169,6 @@ class BatchQueue {
   cluster::Resources per_node_;  // one node's worth of pool-tree charge
   util::RetryBudget* retry_budget_ = nullptr;  // non-owned, optional
   util::TimeNs denied_hold_ = util::seconds(1);
-  std::int64_t requeues_held_ = 0;
 };
 
 }  // namespace evolve::hpc

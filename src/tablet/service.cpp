@@ -192,12 +192,10 @@ void TabletService::finish_read(cluster::NodeId node_id, ShardId shard,
   Tablet& t = tablet(si.id);
   if (t.memtable.count(op.key) != 0 || t.sealed.count(op.key) != 0 ||
       t.gens.empty()) {
-    ++memtable_hits_;
     metrics_.count("memtable_hits");
     respond(node_id, op, OpStatus::kOk, si.id, /*from_memtable=*/true);
     return;
   }
-  ++block_reads_;
   metrics_.count("block_reads");
   const trace::SpanId read_span = trace::begin_span(
       tracer_, trace::Layer::kTablet, "tablet.read", op.span);
@@ -255,7 +253,6 @@ void TabletService::commit_wal(cluster::NodeId node_id) {
         trace::end_span(tracer_, wal_span);
         NodeState& n = node(node_id);
         n.commit_inflight = false;
-        ++wal_commits_;
         metrics_.count("wal_commits");
         // Durable: apply in order (idempotent per key), then ack.
         for (PendingWrite& w : *group) {
@@ -274,7 +271,6 @@ void TabletService::commit_wal(cluster::NodeId node_id) {
     trace::end_span(tracer_, wal_span);
     metrics_.count("wal_commits_fenced");
     for (PendingWrite& w : *group) {
-      ++fenced_writes_;
       respond_write(node_id, w, OpStatus::kFenced);
     }
     return;
@@ -287,7 +283,6 @@ void TabletService::apply_write(const PendingWrite& w) {
   if (w.seq <= applied) {
     // A newer write to this key already landed (a cross-epoch ordering
     // inversion): suppress the stale apply — exactly-once effect.
-    ++dup_writes_;
     metrics_.count("stale_applies_suppressed");
     return;
   }
@@ -309,26 +304,6 @@ void TabletService::apply_write(const PendingWrite& w) {
 void TabletService::respond(cluster::NodeId from, const Op& op,
                             OpStatus status, ShardId shard,
                             bool from_memtable) {
-  switch (status) {
-    case OpStatus::kOk:
-      ++ops_ok_;
-      break;
-    case OpStatus::kNotFound:
-      ++not_found_;
-      break;
-    case OpStatus::kWrongShard:
-      ++wrong_shard_;
-      break;
-    case OpStatus::kQueueFull:
-      ++shed_queue_full_;
-      break;
-    case OpStatus::kUnavailable:
-      ++unavailable_;
-      break;
-    case OpStatus::kFenced:
-      ++fenced_writes_;
-      break;
-  }
   metrics_.count(std::string("op_") + to_string(status));
   OpResult result;
   result.status = status;
@@ -349,7 +324,6 @@ void TabletService::respond(cluster::NodeId from, const Op& op,
 
 void TabletService::respond_write(cluster::NodeId from, const PendingWrite& w,
                                   OpStatus status) {
-  if (status == OpStatus::kOk) ++ops_ok_;
   metrics_.count(std::string("op_") + to_string(status));
   OpResult result;
   result.status = status;
@@ -429,7 +403,6 @@ void TabletService::start_flush(cluster::NodeId node_id, ShardId shard) {
         t.gens.push_back(Generation{name, bytes});
         t.sealed.clear();
         t.flushing = false;
-        ++flushes_;
         metrics_.count("flushes");
         metrics_.count("flush_bytes", bytes);
         if (t.moving) {
@@ -616,7 +589,6 @@ void TabletService::finish_move(ShardId id, cluster::NodeId from,
   t.moving = false;
   const util::TimeNs window = sim_.now() - t.move_start;
   move_unavail_ns_ += window;
-  ++moves_completed_;
   metrics_.count("moves_completed");
   metrics_.observe("move_unavail_us", window / util::kMicrosecond);
   if (t.memtable_bytes > 0) arm_age_flush(id);

@@ -88,6 +88,7 @@ TEST(GrayInjector, NicDegradationFoldsLossIntoCapacity) {
   EXPECT_DOUBLE_EQ(factors[0], 0.5 * 0.8);
   EXPECT_DOUBLE_EQ(factors[1], 1.0);
   EXPECT_FALSE(gray.is_nic_degraded(1));
+  EXPECT_EQ(gray.degradations_injected(), 1);
 }
 
 TEST(GrayInjector, BitrotFiresSeededEvent) {

@@ -272,6 +272,29 @@ TEST(ServeService, NoHedgeWithoutASecondReplica) {
   expect_clean(f);
 }
 
+TEST(ServeService, HedgeLosingInTheNetworkCountsAsCancelled) {
+  ServeFixture f(2);
+  f.classes[0].request_bytes = 8 * util::kMiB;  // ~6.7 ms on 10 GbE
+  ServiceConfig config;
+  config.replica.batch.max_batch = 1;
+  config.hedging = true;
+  config.hedge.min_delay = util::millis(5);
+  config.hedge.min_samples = 1 << 20;  // pin the delay to hedge.min_delay
+  Service& svc = f.make_service(config);
+  f.sim.run();
+  // The hedge fires at 5 ms, before the primary's request has even
+  // landed, so it is still crossing the fabric when the primary's 3 ms
+  // batch finishes: it loses in the network and is cancelled there.
+  f.offer(1, 0);
+  f.sim.run();
+  EXPECT_EQ(svc.tenant("default").completed, 1);
+  EXPECT_EQ(svc.hedges_launched(), 1);
+  EXPECT_EQ(svc.hedge_wins(), 0);
+  EXPECT_EQ(svc.wasted_exec(), 0);
+  EXPECT_EQ(svc.metrics().counter("serve.hedges_cancelled"), 1);
+  expect_clean(f);
+}
+
 TEST(ServeService, ScaleDownReroutesQueuedRequests) {
   ServeFixture f(3);
   f.classes[0].compute_cost = util::millis(10);
