@@ -6,6 +6,7 @@
 #include "cluster/cluster.hpp"
 #include "core/report.hpp"
 #include "dataflow/engine.hpp"
+#include "harness.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "util/strings.hpp"
@@ -54,11 +55,12 @@ dataflow::JobStats run_once(double straggler_rate, bool speculation) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Harness harness("a4_speculation", bench::kJson, argc, argv);
+  core::MetricsReport& report = harness.report();
   core::Table table(
       "A4: speculative execution vs stragglers (64 tasks, 8x slowdown)",
       {"straggler rate", "spec off", "spec on", "speedup", "backups",
        "backup wins"});
-  core::MetricsReport report("a4_speculation");
   for (double rate : {0.0, 0.05, 0.15, 0.30}) {
     const auto off = run_once(rate, false);
     const auto on = run_once(rate, true);
@@ -84,8 +86,5 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: with no stragglers speculation is a no-op; "
                "as the straggler\nrate grows, backup copies clip the tail "
                "and the benefit widens.\n";
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

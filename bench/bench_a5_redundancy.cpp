@@ -5,6 +5,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/report.hpp"
+#include "harness.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "storage/object_store.hpp"
@@ -86,7 +87,8 @@ Measured measure(const storage::ObjectStoreConfig& config,
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::MetricsReport report("a5_redundancy");
+  bench::Harness harness("a5_redundancy", bench::kJson, argc, argv);
+  core::MetricsReport& report = harness.report();
   for (util::Bytes size : {4 * util::kMiB, 64 * util::kMiB}) {
     core::Table table("A5: redundancy schemes, " + util::human_bytes(size) +
                           " objects (12 storage servers)",
@@ -114,8 +116,5 @@ int main(int argc, char** argv) {
                "3-way\nreplication; GETs pay fan-in (k fragments) plus "
                "decode, PUTs pay encode but\nmove fragments instead of full "
                "copies.\n";
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

@@ -17,9 +17,7 @@
 // (Perfetto / chrome://tracing), showing retries, re-replication and
 // gang restarts as they interleave with the fault schedule.
 #include <algorithm>
-#include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,12 +26,11 @@
 #include "dataflow/engine.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/wiring.hpp"
+#include "harness.hpp"
 #include "hpc/batch_queue.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "storage/object_store.hpp"
-#include "trace/export.hpp"
-#include "trace/tracer.hpp"
 #include "util/strings.hpp"
 #include "util/types.hpp"
 
@@ -80,8 +77,7 @@ struct ScenarioResult {
 };
 
 ScenarioResult run_scenario(const std::string& name, bool faults,
-                            bool recovery,
-                            std::unique_ptr<trace::Tracer>* tracer_out) {
+                            bool recovery, const bench::TraceSlot& slot) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(kComputeNodes, kStorageNodes, 0);
   net::Topology topology(cluster);
@@ -119,14 +115,11 @@ ScenarioResult run_scenario(const std::string& name, bool faults,
   fault::connect(injector, store);
   fault::connect(injector, queue, compute);
 
-  std::unique_ptr<trace::Tracer> tracer;
-  if (tracer_out) {
-    tracer = std::make_unique<trace::Tracer>(sim);
-    fabric.set_tracer(tracer.get());
-    store.set_tracer(tracer.get());
-    engine.set_tracer(tracer.get());
-    queue.set_tracer(tracer.get());
-  }
+  const bench::ScopedTracer tracer(slot, sim);
+  fabric.set_tracer(tracer.get());
+  store.set_tracer(tracer.get());
+  engine.set_tracer(tracer.get());
+  queue.set_tracer(tracer.get());
 
   // -- Workload: cold objects, dataflow jobs, HPC gangs ----------------
   store.create_bucket("cold");
@@ -199,27 +192,21 @@ ScenarioResult run_scenario(const std::string& name, bool faults,
   result.lost_objects = store.lost_objects();
   result.failures_injected = injector.failures_injected();
   result.downtime_node_s = injector.downtime_node_seconds();
-  if (tracer) {
-    tracer->close_open_spans();
-    *tracer_out = std::move(tracer);
-  }
   return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool tracing = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) tracing = true;
-  }
-  std::unique_ptr<trace::Tracer> base_tr, rec_tr, off_tr;
-  const ScenarioResult base =
-      run_scenario("fault-free", false, true, tracing ? &base_tr : nullptr);
-  const ScenarioResult rec =
-      run_scenario("recovery-on", true, true, tracing ? &rec_tr : nullptr);
-  const ScenarioResult off =
-      run_scenario("recovery-off", true, false, tracing ? &off_tr : nullptr);
+  bench::Harness harness("f10_faults", bench::kJson | bench::kTrace, argc,
+                         argv);
+  auto run = [&](const std::string& name, bool faults, bool recovery) {
+    return run_scenario(name, faults, recovery,
+                        harness.trace("f10/" + name));
+  };
+  const ScenarioResult base = run("fault-free", false, true);
+  const ScenarioResult rec = run("recovery-on", true, true);
+  const ScenarioResult off = run("recovery-off", true, false);
 
   core::Table table("F10: node failures across dataflow + HPC + storage",
                     {"scenario", "makespan", "jobs ok/fail", "killed",
@@ -261,7 +248,7 @@ int main(int argc, char** argv) {
             << " injected failures; recovery-off loses jobs and leaves "
                "objects under-replicated for the rest of the run.\n";
 
-  core::MetricsReport report("f10_faults");
+  core::MetricsReport& report = harness.report();
   auto emit = [&](const std::string& prefix, const ScenarioResult& r) {
     report.set(prefix + "_makespan_s", r.makespan_s);
     report.set(prefix + "_jobs_ok", static_cast<std::int64_t>(r.jobs_ok));
@@ -288,18 +275,5 @@ int main(int argc, char** argv) {
   emit("norecovery", off);
   report.set("recovery_makespan_overhead",
              base.makespan_s > 0 ? rec.makespan_s / base.makespan_s : 0.0);
-
-  if (tracing) {
-    std::cout << "wrote "
-              << trace::write_chrome_trace(
-                     "f10_faults",
-                     {{"f10/fault-free", base_tr.get()},
-                      {"f10/recovery-on", rec_tr.get()},
-                      {"f10/recovery-off", off_tr.get()}})
-              << "\n";
-  }
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

@@ -19,9 +19,7 @@
 // `--json` writes BENCH_f11_gray.json; `--trace` writes
 // TRACE_f11_gray.json with fault.degrade / fault.quarantine /
 // store.hedge / store.scrub / df.speculate spans.
-#include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,11 +29,10 @@
 #include "fault/gray.hpp"
 #include "fault/health.hpp"
 #include "fault/wiring.hpp"
+#include "harness.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "storage/object_store.hpp"
-#include "trace/export.hpp"
-#include "trace/tracer.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/types.hpp"
@@ -59,8 +56,7 @@ struct SlowNodeResult {
   double time_to_quarantine_ms = -1;
 };
 
-SlowNodeResult run_slow_node(bool mitigate,
-                             std::unique_ptr<trace::Tracer>* tracer_out) {
+SlowNodeResult run_slow_node(bool mitigate, const bench::TraceSlot& slot) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(kComputeNodes, kStorageNodes, 0);
   net::Topology topology(cluster);
@@ -93,15 +89,12 @@ SlowNodeResult run_slow_node(bool mitigate,
     fault::connect(gray, quarantine);
   }
 
-  std::unique_ptr<trace::Tracer> tracer;
-  if (tracer_out) {
-    tracer = std::make_unique<trace::Tracer>(sim);
-    fabric.set_tracer(tracer.get());
-    store.set_tracer(tracer.get());
-    engine.set_tracer(tracer.get());
-    gray.set_tracer(tracer.get());
-    quarantine.set_tracer(tracer.get());
-  }
+  const bench::ScopedTracer tracer(slot, sim);
+  fabric.set_tracer(tracer.get());
+  store.set_tracer(tracer.get());
+  engine.set_tracer(tracer.get());
+  gray.set_tracer(tracer.get());
+  quarantine.set_tracer(tracer.get());
 
   const auto compute = cluster.nodes_with_label("role=compute");
   std::vector<dataflow::ExecutorSpec> executors;
@@ -140,10 +133,6 @@ SlowNodeResult run_slow_node(bool mitigate,
   result.probes = quarantine.probes();
   result.speculations = engine.metrics().counter("health_speculations");
   result.time_to_quarantine_ms = quarantine.mean_time_to_quarantine_ms();
-  if (tracer) {
-    tracer->close_open_spans();
-    *tracer_out = std::move(tracer);
-  }
   return result;
 }
 
@@ -166,9 +155,8 @@ struct StorageResult {
 
 /// Shared GET-workload harness: preloads objects, streams seeded reads
 /// from compute-node clients, and reports latency + mitigation stats.
-StorageResult run_storage_scenario(
-    bool lossy_nic, bool bitrot, bool mitigate,
-    std::unique_ptr<trace::Tracer>* tracer_out) {
+StorageResult run_storage_scenario(bool lossy_nic, bool bitrot, bool mitigate,
+                                   const bench::TraceSlot& slot) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(kComputeNodes, kStorageNodes, 0);
   net::Topology topology(cluster);
@@ -194,13 +182,10 @@ StorageResult run_storage_scenario(
   fault::connect(gray, fabric);
   fault::connect(gray, store);
 
-  std::unique_ptr<trace::Tracer> tracer;
-  if (tracer_out) {
-    tracer = std::make_unique<trace::Tracer>(sim);
-    fabric.set_tracer(tracer.get());
-    store.set_tracer(tracer.get());
-    gray.set_tracer(tracer.get());
-  }
+  const bench::ScopedTracer tracer(slot, sim);
+  fabric.set_tracer(tracer.get());
+  store.set_tracer(tracer.get());
+  gray.set_tracer(tracer.get());
 
   constexpr int kObjects = 48;
   constexpr int kGets = 320;
@@ -256,33 +241,23 @@ StorageResult run_storage_scenario(
   result.objects_repaired = store.metrics().counter("objects_repaired");
   result.corrupted_left = store.corrupted_replica_count();
   result.flows_leaked = fabric.stats().flows_in_flight;
-  if (tracer) {
-    tracer->close_open_spans();
-    *tracer_out = std::move(tracer);
-  }
   return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool tracing = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) tracing = true;
-  }
-
-  std::unique_ptr<trace::Tracer> slow_tr, lossy_tr, rot_tr;
+  bench::Harness harness("f11_gray", bench::kJson | bench::kTrace, argc,
+                         argv);
   const SlowNodeResult slow_on =
-      run_slow_node(true, tracing ? &slow_tr : nullptr);
-  const SlowNodeResult slow_off = run_slow_node(false, nullptr);
+      run_slow_node(true, harness.trace("f11/slow-node"));
+  const SlowNodeResult slow_off = run_slow_node(false, {});
   const StorageResult lossy_on =
-      run_storage_scenario(true, false, true, tracing ? &lossy_tr : nullptr);
-  const StorageResult lossy_off =
-      run_storage_scenario(true, false, false, nullptr);
+      run_storage_scenario(true, false, true, harness.trace("f11/lossy-link"));
+  const StorageResult lossy_off = run_storage_scenario(true, false, false, {});
   const StorageResult rot_on =
-      run_storage_scenario(false, true, true, tracing ? &rot_tr : nullptr);
-  const StorageResult rot_off =
-      run_storage_scenario(false, true, false, nullptr);
+      run_storage_scenario(false, true, true, harness.trace("f11/bit-rot"));
+  const StorageResult rot_off = run_storage_scenario(false, true, false, {});
 
   core::Table slow("F11a: slow node (6x) — quarantine + speculation",
                    {"mitigation", "makespan", "jobs ok/fail", "quarantines",
@@ -342,7 +317,7 @@ int main(int argc, char** argv) {
             << " corrupted reads reach callers (vs "
             << rot_off.corrupted_reads << " without).\n";
 
-  core::MetricsReport report("f11_gray");
+  core::MetricsReport& report = harness.report();
   auto emit_slow = [&](const std::string& p, const SlowNodeResult& r) {
     report.set(p + "_makespan_s", r.makespan_s);
     report.set(p + "_jobs_ok", static_cast<std::int64_t>(r.jobs_ok));
@@ -382,17 +357,5 @@ int main(int argc, char** argv) {
                  ? static_cast<double>(lossy_on.hedge_wins) /
                        static_cast<double>(lossy_on.hedges)
                  : 0.0);
-
-  if (tracing) {
-    std::cout << "wrote "
-              << trace::write_chrome_trace(
-                     "f11_gray", {{"f11/slow-node", slow_tr.get()},
-                                  {"f11/lossy-link", lossy_tr.get()},
-                                  {"f11/bit-rot", rot_tr.get()}})
-              << "\n";
-  }
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

@@ -29,9 +29,7 @@
 // deterministic); `--trace` additionally writes TRACE_f12_serving.json
 // with serve.request / serve.queue / serve.batch / serve.exec /
 // serve.hedge spans and must not change any metric.
-#include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,6 +37,7 @@
 #include "core/report.hpp"
 #include "fault/gray.hpp"
 #include "fault/wiring.hpp"
+#include "harness.hpp"
 #include "net/fabric.hpp"
 #include "orch/autoscaler.hpp"
 #include "orch/controllers.hpp"
@@ -47,8 +46,6 @@
 #include "serve/service.hpp"
 #include "serve/signal.hpp"
 #include "sim/simulation.hpp"
-#include "trace/export.hpp"
-#include "trace/tracer.hpp"
 #include "util/strings.hpp"
 #include "util/types.hpp"
 
@@ -106,8 +103,7 @@ void snapshot(const serve::Service& svc, RunResult* out) {
 
 // -- Scenario A: steady state, batching on/off ------------------------
 
-RunResult run_steady(bool batching,
-                     std::unique_ptr<trace::Tracer>* tracer_out) {
+RunResult run_steady(bool batching, const bench::TraceSlot& slot) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(4, 2, 0);
   net::Topology topology(cluster);
@@ -142,12 +138,9 @@ RunResult run_steady(bool batching,
   config.replica.batch.max_linger = util::millis(1);
   serve::Service service(sim, fabric, deploy, classes, config);
 
-  std::unique_ptr<trace::Tracer> tracer;
-  if (tracer_out) {
-    tracer = std::make_unique<trace::Tracer>(sim);
-    fabric.set_tracer(tracer.get());
-    service.set_tracer(tracer.get());
-  }
+  const bench::ScopedTracer tracer(slot, sim);
+  fabric.set_tracer(tracer.get());
+  service.set_tracer(tracer.get());
 
   serve::GeneratorConfig gen;
   gen.phases = {{util::seconds(10), 600.0}};
@@ -163,17 +156,13 @@ RunResult run_steady(bool batching,
   RunResult result;
   snapshot(service, &result);
   result.flows_leaked = fabric.stats().flows_in_flight;
-  if (tracer) {
-    tracer->close_open_spans();
-    *tracer_out = std::move(tracer);
-  }
   return result;
 }
 
 // -- Scenario B: slow replica, routing policy + hedging ---------------
 
 RunResult run_slow_replica(serve::BalancePolicy policy, bool hedging,
-                           std::unique_ptr<trace::Tracer>* tracer_out) {
+                           const bench::TraceSlot& slot) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(6, 2, 0);
   net::Topology topology(cluster);
@@ -208,13 +197,10 @@ RunResult run_slow_replica(serve::BalancePolicy policy, bool hedging,
   gray.schedule_slow_node(compute[0], /*cpu=*/4.0, /*accel=*/1.0,
                           util::seconds(1), util::seconds(60));
 
-  std::unique_ptr<trace::Tracer> tracer;
-  if (tracer_out) {
-    tracer = std::make_unique<trace::Tracer>(sim);
-    fabric.set_tracer(tracer.get());
-    service.set_tracer(tracer.get());
-    gray.set_tracer(tracer.get());
-  }
+  const bench::ScopedTracer tracer(slot, sim);
+  fabric.set_tracer(tracer.get());
+  service.set_tracer(tracer.get());
+  gray.set_tracer(tracer.get());
 
   serve::GeneratorConfig gen;
   gen.phases = {{util::seconds(10), 900.0}};
@@ -229,10 +215,6 @@ RunResult run_slow_replica(serve::BalancePolicy policy, bool hedging,
   RunResult result;
   snapshot(service, &result);
   result.flows_leaked = fabric.stats().flows_in_flight;
-  if (tracer) {
-    tracer->close_open_spans();
-    *tracer_out = std::move(tracer);
-  }
   return result;
 }
 
@@ -380,20 +362,18 @@ std::string ms(double v) { return util::fixed(v, 1) + " ms"; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool tracing = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) tracing = true;
-  }
-
-  std::unique_ptr<trace::Tracer> steady_tr, slow_tr;
-  const RunResult batch_on = run_steady(true, tracing ? &steady_tr : nullptr);
-  const RunResult batch_off = run_steady(false, nullptr);
+  bench::Harness harness("f12_serving", bench::kJson | bench::kTrace, argc,
+                         argv);
+  const RunResult batch_on =
+      run_steady(true, harness.trace("f12/steady-batching"));
+  const RunResult batch_off = run_steady(false, {});
   const RunResult slow_rr =
-      run_slow_replica(serve::BalancePolicy::kRoundRobin, false, nullptr);
+      run_slow_replica(serve::BalancePolicy::kRoundRobin, false, {});
   const RunResult slow_p2c =
-      run_slow_replica(serve::BalancePolicy::kPowerOfTwo, false, nullptr);
-  const RunResult slow_p2c_hedge = run_slow_replica(
-      serve::BalancePolicy::kPowerOfTwo, true, tracing ? &slow_tr : nullptr);
+      run_slow_replica(serve::BalancePolicy::kPowerOfTwo, false, {});
+  const RunResult slow_p2c_hedge =
+      run_slow_replica(serve::BalancePolicy::kPowerOfTwo, true,
+                       harness.trace("f12/slow-replica"));
   const RunResult spike_shed = run_spike(true);
   const RunResult spike_noshed = run_spike(false);
   const RunResult autoscaled = run_autoscale();
@@ -464,7 +444,7 @@ int main(int argc, char** argv) {
             << autoscaled.peak_replicas << " replicas and back to "
             << autoscaled.final_replicas << ".\n";
 
-  core::MetricsReport report("f12_serving");
+  core::MetricsReport& report = harness.report();
   auto emit = [&](const std::string& p, const RunResult& r) {
     report.set(p + "_arrived", r.arrived);
     report.set(p + "_completed", r.completed);
@@ -495,16 +475,5 @@ int main(int argc, char** argv) {
   report.set("autoscale_final_replicas", autoscaled.final_replicas);
   report.set("autoscale_scale_ups", autoscaled.scale_ups);
   report.set("autoscale_scale_downs", autoscaled.scale_downs);
-
-  if (tracing) {
-    std::cout << "wrote "
-              << trace::write_chrome_trace(
-                     "f12_serving", {{"f12/steady-batching", steady_tr.get()},
-                                     {"f12/slow-replica", slow_tr.get()}})
-              << "\n";
-  }
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/report.hpp"
+#include "harness.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/ref_event_queue.hpp"
 #include "util/rng.hpp"
@@ -189,10 +190,10 @@ double wall_per_sim_hour(const ScaleResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--quick") quick = true;
-  }
+  bench::Harness harness("f13_scale", bench::kJson | bench::kQuick, argc,
+                         argv);
+  core::MetricsReport& report = harness.report();
+  const bool quick = harness.quick();
 
   struct Point {
     int nodes;
@@ -211,7 +212,6 @@ int main(int argc, char** argv) {
   core::Table table("F13: kernel scale sweep, calendar queue vs binary heap",
                     {"nodes", "engine", "events", "wall", "events/sec",
                      "wall/sim-hour", "checksum"});
-  core::MetricsReport report("f13_scale");
   report.set("quick", quick ? 1 : 0);
 
   double speedup_10k = 0;
@@ -284,8 +284,5 @@ int main(int argc, char** argv) {
                "executed event stream); events/sec should stay roughly flat "
                "from 1k to 100k nodes for the calendar queue.\n";
 
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

@@ -26,6 +26,7 @@
 #include "core/report.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/wiring.hpp"
+#include "harness.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "storage/object_store.hpp"
@@ -189,7 +190,8 @@ PlacementResult run_placement(bool rack_aware) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::MetricsReport report("f14_durability");
+  bench::Harness harness("f14_durability", bench::kJson, argc, argv);
+  core::MetricsReport& report = harness.report();
 
   // --- F14a: redundancy policies, throttled vs unthrottled rebuild ----
   {
@@ -262,8 +264,5 @@ int main(int argc, char** argv) {
                  "GET p99.\n";
   }
 
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

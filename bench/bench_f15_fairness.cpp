@@ -14,6 +14,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/report.hpp"
+#include "harness.hpp"
 #include "orch/controllers.hpp"
 #include "orch/fairshare.hpp"
 #include "orch/rebalancer.hpp"
@@ -198,6 +199,7 @@ RunOutcome run_world(bool fair_share) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Harness harness("f15_fairness", bench::kJson, argc, argv);
   const RunOutcome priority = run_world(/*fair_share=*/false);
   const RunOutcome fair = run_world(/*fair_share=*/true);
 
@@ -225,8 +227,8 @@ int main(int argc, char** argv) {
                "budget-gated preemption pull every tenant toward its\n"
                "share (jain -> 1) at bounded preemption churn.\n";
 
-  if (core::json_mode(argc, argv)) {
-    core::MetricsReport report("f15_fairness");
+  if (harness.json()) {
+    core::MetricsReport& report = harness.report();
     report.set("jain_fair", fair.jain);
     report.set("jain_priority", priority.jain);
     report.set("serving_core_s_fair",
@@ -245,7 +247,7 @@ int main(int argc, char** argv) {
     report.set("rebalance_evictions_fair", fair.rebalance_evictions);
     report.set("cpu_util_fair", fair.cpu_util);
     report.set("cpu_util_priority", priority.cpu_util);
-    std::cout << "\nwrote " << report.write() << "\n";
+    std::cout << "\n";
   }
-  return 0;
+  return harness.finish();
 }

@@ -30,7 +30,6 @@
 //
 // `--json` writes BENCH_f16_partitions.json (fully simulation-
 // deterministic).
-#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "core/report.hpp"
 #include "fault/partition.hpp"
 #include "fault/wiring.hpp"
+#include "harness.hpp"
 #include "net/fabric.hpp"
 #include "orch/controllers.hpp"
 #include "orch/lease.hpp"
@@ -67,13 +67,7 @@ struct WindowStats {
 
   double goodput_rate() const { return static_cast<double>(goodput) / span_s; }
 
-  double p99_ms() {
-    if (latencies_ms.empty()) return 0.0;
-    const std::size_t k = (latencies_ms.size() - 1) * 99 / 100;
-    std::nth_element(latencies_ms.begin(), latencies_ms.begin() + k,
-                     latencies_ms.end());
-    return latencies_ms[k];
-  }
+  double p99_ms() { return bench::exact_p99(latencies_ms); }
 };
 
 struct RunResult {
@@ -221,6 +215,8 @@ std::string ms(double v) { return util::fixed(v, 1) + " ms"; }
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Harness harness("f16_partitions", bench::kJson, argc, argv);
+  core::MetricsReport& report = harness.report();
   RunResult off = run(false);
   RunResult on = run(true);
 
@@ -250,7 +246,6 @@ int main(int argc, char** argv) {
             << ", evicted " << on.evictions << ", hedges suppressed "
             << on.hedges_suppressed << ").\n";
 
-  core::MetricsReport report("f16_partitions");
   auto emit = [&](const std::string& p, RunResult& r) {
     report.set(p + "_arrived", r.arrived);
     report.set(p + "_completed", r.completed);
@@ -277,8 +272,5 @@ int main(int argc, char** argv) {
   emit("off", off);
   emit("on", on);
 
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

@@ -32,10 +32,7 @@
 // `--json` writes BENCH_f17_tablets.json (fully simulation-
 // deterministic); `--trace` additionally writes TRACE_f17_tablets.json
 // with tablet.* spans from the balanced run's first 2 s.
-#include <algorithm>
-#include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,13 +40,13 @@
 #include "core/report.hpp"
 #include "fault/gray.hpp"
 #include "fault/wiring.hpp"
+#include "harness.hpp"
 #include "net/fabric.hpp"
 #include "serve/generator.hpp"
 #include "sim/simulation.hpp"
 #include "storage/object_store.hpp"
 #include "tablet/balancer.hpp"
 #include "tablet/service.hpp"
-#include "trace/export.hpp"
 #include "trace/tracer.hpp"
 #include "util/strings.hpp"
 #include "util/types.hpp"
@@ -90,14 +87,7 @@ struct RunResult {
   std::int64_t flows_leaked = 0;
 };
 
-double p99_of(std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  const std::size_t k = (v.size() - 1) * 99 / 100;
-  std::nth_element(v.begin(), v.begin() + k, v.end());
-  return v[k];
-}
-
-RunResult run(bool balancing, std::unique_ptr<trace::Tracer>* tracer_out) {
+RunResult run(bool balancing, const bench::TraceSlot& slot) {
   sim::Simulation sim;
   auto cluster = cluster::make_testbed(4, 4, 0, 2);
   net::Topology topology(cluster);
@@ -117,9 +107,8 @@ RunResult run(bool balancing, std::unique_ptr<trace::Tracer>* tracer_out) {
   TabletService service(sim, fabric, store,
                         cluster.nodes_with_label("role=compute"), config);
 
-  std::unique_ptr<trace::Tracer> tracer;
-  if (tracer_out) {
-    tracer = std::make_unique<trace::Tracer>(sim);
+  const bench::ScopedTracer tracer(slot, sim);
+  if (tracer.get()) {
     service.set_tracer(tracer.get());
     // Span volume control: trace only the first 2 s (splits + first
     // moves land there), then detach.
@@ -196,8 +185,8 @@ RunResult run(bool balancing, std::unique_ptr<trace::Tracer>* tracer_out) {
   sim.run();
 
   result.offered = generator.emitted();
-  result.p99_ms = p99_of(result.latencies_ms);
-  result.read_p99_ms = p99_of(result.read_latencies_ms);
+  result.p99_ms = bench::exact_p99(result.latencies_ms);
+  result.read_p99_ms = bench::exact_p99(result.read_latencies_ms);
   // The constructor carves initial_shards via split(); report only the
   // balancer-initiated ones.
   result.splits = service.shard_map().splits() - (config.initial_shards - 1);
@@ -212,10 +201,6 @@ RunResult run(bool balancing, std::unique_ptr<trace::Tracer>* tracer_out) {
   result.wal_commits = service.wal_commits();
   result.final_shards = service.shard_map().shard_count();
   result.flows_leaked = fabric.stats().flows_in_flight;
-  if (tracer) {
-    tracer->close_open_spans();
-    *tracer_out = std::move(tracer);
-  }
   return result;
 }
 
@@ -224,14 +209,10 @@ std::string ms(double v) { return util::fixed(v, 2) + " ms"; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool tracing = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) tracing = true;
-  }
-
-  std::unique_ptr<trace::Tracer> on_tr;
-  RunResult off = run(false, nullptr);
-  RunResult on = run(true, tracing ? &on_tr : nullptr);
+  bench::Harness harness("f17_tablets", bench::kJson | bench::kTrace, argc,
+                         argv);
+  RunResult off = run(false, {});
+  RunResult on = run(true, harness.trace("f17/balanced"));
 
   core::Table table(
       "F17: Zipf tablet serving + 3x gray slow node — balancing off vs on",
@@ -259,7 +240,7 @@ int main(int argc, char** argv) {
             << " s of shard unavailability, " << on.wrong_shard_retries
             << " stale-route retries).\n";
 
-  core::MetricsReport report("f17_tablets");
+  core::MetricsReport& report = harness.report();
   auto emit = [&](const std::string& p, const RunResult& r) {
     report.set(p + "_offered", r.offered);
     report.set(p + "_completed", r.completed);
@@ -283,15 +264,5 @@ int main(int argc, char** argv) {
   };
   emit("off", off);
   emit("on", on);
-
-  if (tracing) {
-    std::cout << "wrote "
-              << trace::write_chrome_trace(
-                     "f17_tablets", {{"f17/balanced", on_tr.get()}})
-              << "\n";
-  }
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

@@ -5,6 +5,7 @@
 #include "core/platform.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
+#include "harness.hpp"
 #include "util/strings.hpp"
 #include "workloads/tabular.hpp"
 
@@ -33,11 +34,12 @@ util::TimeNs run_job(bool locality, int executors) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Harness harness("f1_scaling", bench::kJson, argc, argv);
+  core::MetricsReport& report = harness.report();
   core::Table table(
       "F1: analytics strong scaling (4 GiB scan/filter/aggregate)",
       {"executors", "converged (local)", "disaggregated", "speedup vs 1",
        "local/remote ratio"});
-  core::MetricsReport report("f1_scaling");
   util::TimeNs base_local = 0;
   for (int executors : {1, 2, 4, 8, 16}) {
     const auto local = run_job(true, executors);
@@ -63,8 +65,5 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: runtime falls with executors until the "
                "storage substrate\nsaturates; locality-aware placement wins "
                "at every width.\n";
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

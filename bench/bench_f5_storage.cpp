@@ -8,6 +8,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/report.hpp"
+#include "harness.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "storage/object_store.hpp"
@@ -38,7 +39,8 @@ struct Setup {
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::MetricsReport report("f5_storage");
+  bench::Harness harness("f5_storage", bench::kJson, argc, argv);
+  core::MetricsReport& report = harness.report();
   // --- Working-set sweep: hit mix and mean latency -------------------
   // Custom tier sizes (8 GiB DRAM cache + 24 GiB NVMe cache over HDD)
   // so the sweep crosses both capacity cliffs. A zipf warmup pass brings
@@ -135,8 +137,5 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: latency climbs in steps as the working set "
                "spills DRAM\nthen NVMe; aggregate throughput scales with "
                "servers until client links bind.\n";
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

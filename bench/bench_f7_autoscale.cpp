@@ -8,6 +8,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/report.hpp"
+#include "harness.hpp"
 #include "metrics/timeseries.hpp"
 #include "orch/autoscaler.hpp"
 #include "sim/simulation.hpp"
@@ -82,10 +83,11 @@ Outcome run_strategy(const std::string& mode) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Harness harness("f7_autoscale", bench::kJson, argc, argv);
+  core::MetricsReport& report = harness.report();
   core::Table table("F7: diurnal load (50..950 req/s over 2 h simulated)",
                     {"strategy", "mean replicas", "peak", "under-prov time",
                      "scale events"});
-  core::MetricsReport report("f7_autoscale");
   for (const std::string mode : {"peak", "mean", "autoscaled"}) {
     const auto out = run_strategy(mode);
     table.add_row({mode + (mode == "peak"   ? " (fixed 10)"
@@ -105,8 +107,5 @@ int main(int argc, char** argv) {
                "wastes ~2x\nreplicas; mean provisioning starves half the "
                "day; the autoscaler tracks the\ncurve with near-peak "
                "protection at near-mean cost.\n";
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

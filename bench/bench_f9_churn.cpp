@@ -11,6 +11,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/report.hpp"
+#include "harness.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
@@ -126,6 +127,8 @@ std::int64_t wave_recomputations(int n) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::Harness harness("f9_churn", bench::kJson, argc, argv);
+  core::MetricsReport& report = harness.report();
   constexpr int kWave = 4096;
   constexpr int kChurn = 2048;
   const Schedule schedule = make_schedule(kWave, kChurn);
@@ -155,7 +158,6 @@ int main(int argc, char** argv) {
   core::Table waves("F9b: recomputes to absorb one same-timestamp wave",
                     {"wave flows", "recomputes (incremental)",
                      "recomputes (eager would be)"});
-  core::MetricsReport report("f9_churn");
   report.set("flows_total", static_cast<std::int64_t>(schedule.arrivals.size()));
   report.set("peak_concurrent", inc.peak_concurrent);
   report.set("incremental_wall_s", inc.wall_s);
@@ -185,8 +187,5 @@ int main(int argc, char** argv) {
             << " (engines must agree); wave recomputes stay flat while the "
                "wave size doubles.\n";
 
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

@@ -6,13 +6,12 @@
 // bench prints a per-layer critical-path attribution table (rows sum to
 // the end-to-end time) and writes TRACE_t1_endtoend.json, loadable in
 // Perfetto / chrome://tracing.
-#include <cstring>
 #include <iostream>
-#include <memory>
 
 #include "core/platform.hpp"
 #include "core/report.hpp"
 #include "core/siloed.hpp"
+#include "harness.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
@@ -125,20 +124,13 @@ std::vector<UseCase> use_cases() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool tracing = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) tracing = true;
-  }
+  bench::Harness harness("t1_endtoend", bench::kJson | bench::kTrace, argc,
+                         argv);
+  core::MetricsReport& report = harness.report();
 
   core::Table table(
       "T1: end-to-end use-case time, converged vs siloed (same hardware)",
       {"use case", "converged", "siloed", "staged", "speedup"});
-  core::MetricsReport report("t1_endtoend");
-
-  // Tracers outlive their simulations: spans are exported after the
-  // loop, once every scenario has drained.
-  std::vector<std::unique_ptr<trace::Tracer>> tracers;
-  std::vector<trace::TraceProcess> processes;
   std::vector<std::pair<std::string, trace::CriticalPath>> paths;
 
   for (const UseCase& uc : use_cases()) {
@@ -147,12 +139,10 @@ int main(int argc, char** argv) {
     {
       sim::Simulation sim;
       core::Platform platform(sim);
-      trace::Tracer* tracer = nullptr;
-      if (tracing) {
-        tracers.push_back(std::make_unique<trace::Tracer>(sim));
-        tracer = tracers.back().get();
-        platform.set_tracer(tracer);
-      }
+      const bench::ScopedTracer scoped(
+          harness.trace("t1/" + uc.name + " converged"), sim);
+      trace::Tracer* tracer = scoped.get();
+      platform.set_tracer(tracer);
       uc.stage(platform.catalog());
       platform.run_workflow(uc.build(),
                             [&](const workflow::WorkflowResult& r) {
@@ -160,9 +150,7 @@ int main(int argc, char** argv) {
                             });
       sim.run();
       if (tracer) {
-        tracer->close_open_spans();
-        processes.push_back(
-            trace::TraceProcess{"t1/" + uc.name + " converged", tracer});
+        tracer->close_open_spans();  // the critical path reads span ends
         for (trace::SpanId root : trace::root_spans(*tracer)) {
           // The workflow run is the only root with children.
           if (tracer->span(root).name == "wf.run") {
@@ -196,20 +184,15 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: converged < siloed on every use case; the gap"
                "\ngrows with the volume of cross-silo data staged.\n";
 
-  if (tracing) {
+  if (harness.tracing()) {
     std::cout << "\n";
     trace::critical_path_table(
         "T1 critical path: end-to-end latency by layer (converged)", paths)
         .print();
-    std::cout << "\nwrote " << trace::write_chrome_trace("t1_endtoend",
-                                                         processes)
-              << "\n";
+    std::cout << "\n";
     for (const auto& [name, path] : paths) {
       trace::report_critical_path(report, name, path);
     }
   }
-  if (core::json_mode(argc, argv)) {
-    std::cout << "wrote " << report.write() << "\n";
-  }
-  return 0;
+  return harness.finish();
 }

@@ -58,35 +58,27 @@ run_bench "$BUILD_DIR" f16_partitions --json
 run_bench "$BUILD_DIR" f17_tablets --json
 
 # -- Baseline diffs (before any --trace run touches the reports) -------
-# F9 mixes simulated metrics with host wall-clock timings; only the
-# simulated lines are expected to be bit-identical. F10 is fully
-# simulation-deterministic, so it must match exactly.
-filter_host_timing() {
-  grep -vE '"(incremental|reference)_(wall_s|us_per_flow|us_per_event)"|"speedup_per_flow"' "$1"
+# check_baseline NAME WHY [HOST_TIMING_REGEX] diffs $BUILD_DIR/BENCH_NAME.json
+# against the tracked repo-root baseline, both minus the lines matching
+# the optional regex, and fails with "check.sh: BENCH_NAME.json WHY".
+check_baseline() {
+  local file="BENCH_$1.json" keep=(cat)
+  if [[ -n "${3:-}" ]]; then keep=(grep -vE "$3"); fi
+  diff <("${keep[@]}" "$BUILD_DIR/$file") <("${keep[@]}" "$file") \
+    || { echo "check.sh: $file $2"; exit 1; }
 }
-diff <(filter_host_timing "$BUILD_DIR/BENCH_f9_churn.json") \
-     <(filter_host_timing BENCH_f9_churn.json) \
-  || { echo "check.sh: BENCH_f9_churn.json deviates from baseline"; exit 1; }
-diff "$BUILD_DIR/BENCH_f10_faults.json" BENCH_f10_faults.json \
-  || { echo "check.sh: BENCH_f10_faults.json deviates from baseline"; exit 1; }
-diff "$BUILD_DIR/BENCH_f11_gray.json" BENCH_f11_gray.json \
-  || { echo "check.sh: BENCH_f11_gray.json deviates from baseline"; exit 1; }
-diff "$BUILD_DIR/BENCH_f12_serving.json" BENCH_f12_serving.json \
-  || { echo "check.sh: BENCH_f12_serving.json deviates from baseline"; exit 1; }
-# F14 (durability under correlated failure) is fully simulation-
-# deterministic: every column must match the baseline bit for bit.
-diff "$BUILD_DIR/BENCH_f14_durability.json" BENCH_f14_durability.json \
-  || { echo "check.sh: BENCH_f14_durability.json deviates from baseline"; exit 1; }
-# F15 (fair share under contention) is fully simulation-deterministic.
-diff "$BUILD_DIR/BENCH_f15_fairness.json" BENCH_f15_fairness.json \
-  || { echo "check.sh: BENCH_f15_fairness.json deviates from baseline"; exit 1; }
-# F16 (partitions + metastability defenses) is fully simulation-
-# deterministic.
-diff "$BUILD_DIR/BENCH_f16_partitions.json" BENCH_f16_partitions.json \
-  || { echo "check.sh: BENCH_f16_partitions.json deviates from baseline"; exit 1; }
-# F17 (tablet serving under Zipf skew) is fully simulation-deterministic.
-diff "$BUILD_DIR/BENCH_f17_tablets.json" BENCH_f17_tablets.json \
-  || { echo "check.sh: BENCH_f17_tablets.json deviates from baseline"; exit 1; }
+# F9 mixes simulated metrics with host wall-clock timings; only the
+# simulated lines are expected to be bit-identical. F10, F11, F12, F14
+# (durability under correlated failure), F15 (fair share under
+# contention), F16 (partitions + metastability defenses) and F17 (tablet
+# serving under Zipf skew) are fully simulation-deterministic, so every
+# column must match the baseline bit for bit.
+check_baseline f9_churn "deviates from baseline" \
+  '"(incremental|reference)_(wall_s|us_per_flow|us_per_event)"|"speedup_per_flow"'
+for name in f10_faults f11_gray f12_serving f14_durability f15_fairness \
+            f16_partitions f17_tablets; do
+  check_baseline "$name" "deviates from baseline"
+done
 echo "check.sh: bench metrics match the tracked baselines"
 
 # -- F15 fairness gate --------------------------------------------------
@@ -173,12 +165,8 @@ awk -v onp="$f17_on_p99" -v offp="$f17_off_p99" \
 # Event counts, checksums, and end times are simulation-deterministic and
 # must match the baseline bit for bit. events/sec and speedup columns are
 # host timing: those get a tolerance band, not a diff.
-filter_f13_host_timing() {
-  grep -vE '"(cal|ref)_[0-9]+k_(wall_s|events_per_sec|wall_per_sim_hour_s)"|"speedup_' "$1"
-}
-diff <(filter_f13_host_timing "$BUILD_DIR/BENCH_f13_scale.json") \
-     <(filter_f13_host_timing BENCH_f13_scale.json) \
-  || { echo "check.sh: BENCH_f13_scale.json deviates from baseline"; exit 1; }
+check_baseline f13_scale "deviates from baseline" \
+  '"(cal|ref)_[0-9]+k_(wall_s|events_per_sec|wall_per_sim_hour_s)"|"speedup_'
 
 base_eps=$(bench_metric BENCH_f13_scale.json cal_10k_events_per_sec)
 base_speedup=$(bench_metric BENCH_f13_scale.json speedup_10k)
@@ -206,19 +194,13 @@ awk -v fresh="$fresh_eps" -v base="$base_eps" -v speedup="$fresh_speedup" \
 # -- Traced runs + strict JSON validation ------------------------------
 run_bench "$BUILD_DIR" t1_endtoend --trace --json
 run_bench "$BUILD_DIR" f10_faults --trace --json
-# Tracing must not perturb the simulation: the traced F11 rerun has to
-# reproduce the tracked baseline bit for bit.
-run_bench "$BUILD_DIR" f11_gray --trace --json
-diff "$BUILD_DIR/BENCH_f11_gray.json" BENCH_f11_gray.json \
-  || { echo "check.sh: BENCH_f11_gray.json changed under --trace"; exit 1; }
-# Same observational-tracing guarantee for the serving bench.
-run_bench "$BUILD_DIR" f12_serving --trace --json
-diff "$BUILD_DIR/BENCH_f12_serving.json" BENCH_f12_serving.json \
-  || { echo "check.sh: BENCH_f12_serving.json changed under --trace"; exit 1; }
-# Tablet spans (tablet.op/serve/exec/wal/flush) must be observational too.
-run_bench "$BUILD_DIR" f17_tablets --trace --json
-diff "$BUILD_DIR/BENCH_f17_tablets.json" BENCH_f17_tablets.json \
-  || { echo "check.sh: BENCH_f17_tablets.json changed under --trace"; exit 1; }
+# Tracing must not perturb the simulation: the traced F11 (gray
+# failures), F12 (serving) and F17 (tablet spans) reruns have to
+# reproduce the tracked baselines bit for bit.
+for name in f11_gray f12_serving f17_tablets; do
+  run_bench "$BUILD_DIR" "$name" --trace --json
+  check_baseline "$name" "changed under --trace"
+done
 (cd "$BUILD_DIR" && ./tools/json_check BENCH_*.json TRACE_*.json)
 
 if [[ "${EVOLVE_SKIP_SANITIZERS:-0}" != "1" ]]; then

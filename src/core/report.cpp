@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -100,13 +99,6 @@ std::string MetricsReport::write() const {
   if (!out) throw std::runtime_error("cannot write " + path);
   out << to_json();
   return path;
-}
-
-bool json_mode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) return true;
-  }
-  return false;
 }
 
 }  // namespace evolve::core

@@ -30,9 +30,8 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Flat metric-name → value report. Benches build one of these and, when
-/// invoked with `--json`, write it as `BENCH_<name>.json` in the working
-/// directory. Insertion order is preserved in the output.
+/// Flat metric-name → value report, written as `BENCH_<name>.json` in the
+/// working directory. Insertion order is preserved in the output.
 class MetricsReport {
  public:
   explicit MetricsReport(std::string bench_name);
@@ -52,8 +51,5 @@ class MetricsReport {
   std::string name_;
   std::vector<std::pair<std::string, std::string>> metrics_;
 };
-
-/// True when the command line contains `--json` (bench reporter mode).
-bool json_mode(int argc, char** argv);
 
 }  // namespace evolve::core

@@ -30,7 +30,6 @@ void Rebalancer::schedule_next() {
 }
 
 int Rebalancer::round_now() {
-  ++rounds_;
   orch_.metrics().count("rebalance_rounds");
   trace::Tracer* tracer = orch_.tracer();
   const trace::SpanId span =
@@ -82,10 +81,7 @@ int Rebalancer::round_now() {
     }
     ++moves_considered_;
     if (best.victim == kInvalidPod) continue;
-    if (orch_.evict_for_rebalance(best.victim)) {
-      ++evicted;
-      ++evictions_;
-    }
+    if (orch_.evict_for_rebalance(best.victim)) ++evicted;
   }
 
   if (tracer && span != trace::kNoSpan) {

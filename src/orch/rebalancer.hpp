@@ -46,8 +46,6 @@ class Rebalancer {
   /// Returns the number of evictions performed.
   int round_now();
 
-  std::int64_t rounds() const { return rounds_; }
-  std::int64_t evictions() const { return evictions_; }
   std::int64_t moves_considered() const { return moves_considered_; }
 
  private:
@@ -58,8 +56,6 @@ class Rebalancer {
   RebalancerConfig config_;
   bool running_ = false;
   bool tick_scheduled_ = false;
-  std::int64_t rounds_ = 0;
-  std::int64_t evictions_ = 0;
   std::int64_t moves_considered_ = 0;
 };
 

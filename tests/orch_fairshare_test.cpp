@@ -389,6 +389,19 @@ TEST(Rebalancer, RefusesWhenVictimFitsNowhereElse) {
   EXPECT_EQ(web.running(), 1);
 }
 
+TEST(Rebalancer, CountsEveryRoundInOrchestratorRegistry) {
+  FairFixture f(1);
+  Rebalancer rebalancer(f.sim, f.orch);
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(rebalancer.round_now(), 0);
+  EXPECT_EQ(f.orch.metrics().counter("rebalance_rounds"), 3);
+  // Periodic rounds (500 ms interval) count in the same registry key.
+  rebalancer.start();
+  f.sim.run_until(util::millis(1200));
+  rebalancer.stop();
+  EXPECT_EQ(f.orch.metrics().counter("rebalance_rounds"), 5);
+  EXPECT_EQ(f.orch.metrics().counter("rebalance_evictions"), 0);
+}
+
 TEST(PoolTree, HistoricalUsageDecaysWithHalflife) {
   PoolTree tree = make_tree(100);
   tree.add_pool({.name = "a"});
