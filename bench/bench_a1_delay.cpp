@@ -5,12 +5,14 @@
 #include "core/platform.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
+#include "harness.hpp"
 #include "util/strings.hpp"
 #include "workloads/tabular.hpp"
 
 using namespace evolve;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Harness harness("a1_delay", 0, argc, argv);  // takes no flags
   core::Table table("A1: delay scheduling ablation (executors on data nodes)",
                     {"locality wait", "local source tasks", "job time"});
   for (util::TimeNs wait :

@@ -5,6 +5,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/report.hpp"
+#include "harness.hpp"
 #include "orch/scheduler.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
@@ -82,7 +83,8 @@ Outcome run_mode(bool gang, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Harness harness("a2_gang", 0, argc, argv);  // takes no flags
   core::Table table(
       "A2: gang vs independent rank placement (8-rank jobs + churn)",
       {"placement", "jobs fully started", "mean time to all-ranks-ready",

@@ -5,6 +5,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/report.hpp"
+#include "harness.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "storage/object_store.hpp"
@@ -13,7 +14,8 @@
 
 using namespace evolve;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Harness harness("a3_tiers", 0, argc, argv);  // takes no flags
   core::Table table(
       "A3: cache capacity sweep (32 GiB working set, zipf 0.9, steady state)",
       {"cache grant", "dram cap", "nvme cap", "dram", "nvme", "hdd",

@@ -8,6 +8,7 @@
 #include "dataflow/engine.hpp"
 #include "dataflow/optimizer.hpp"
 #include "dataflow/stage.hpp"
+#include "harness.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
 #include "util/strings.hpp"
@@ -53,7 +54,8 @@ util::TimeNs run_plan(const dataflow::LogicalPlan& plan) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Harness harness("a6_optimizer", 0, argc, argv);  // takes no flags
   core::Table table(
       "A6: filter pushdown (1 GiB scan, 12 ns/B transform, 8 reducers)",
       {"filter selectivity", "unoptimized", "optimized", "speedup"});

@@ -4,6 +4,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/report.hpp"
+#include "harness.hpp"
 #include "hpc/communicator.hpp"
 #include "net/fabric.hpp"
 #include "sim/simulation.hpp"
@@ -37,7 +38,8 @@ const std::vector<std::pair<const char*, hpc::CollectiveAlgo>> kAlgos = {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Harness harness("f2_collectives", 0, argc, argv);  // takes no flags
   {
     core::Table table("F2a: allreduce time vs message size (16 ranks)",
                       {"size", "linear", "tree", "rec-dbl", "ring"});

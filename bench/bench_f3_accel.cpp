@@ -5,12 +5,14 @@
 #include "accel/pool.hpp"
 #include "cluster/cluster.hpp"
 #include "core/report.hpp"
+#include "harness.hpp"
 #include "sim/simulation.hpp"
 #include "util/strings.hpp"
 
 using namespace evolve;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Harness harness("f3_accel", 0, argc, argv);  // takes no flags
   // --- Per-kernel speedup ------------------------------------------
   {
     core::Table table("F3a: kernel offload speedup (1 s of CPU work)",

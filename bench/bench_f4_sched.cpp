@@ -5,6 +5,7 @@
 
 #include "core/report.hpp"
 #include "core/unified_scheduler.hpp"
+#include "harness.hpp"
 #include "util/strings.hpp"
 #include "workloads/trace.hpp"
 
@@ -22,7 +23,8 @@ core::PlatformConfig sched_config() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Harness harness("f4_sched", 0, argc, argv);  // takes no flags
   core::Table table("F4: mixed trace, unified vs 3 static silos (12 nodes)",
                     {"load (jobs/s)", "deployment", "cpu util", "mean wait",
                      "p95 wait", "makespan"});

@@ -5,6 +5,7 @@
 #include "core/platform.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
+#include "harness.hpp"
 #include "util/strings.hpp"
 #include "workloads/ml.hpp"
 
@@ -32,7 +33,8 @@ util::TimeNs epoch_time(int workers, double accel_speedup,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Harness harness("f6_ml", 0, argc, argv);  // takes no flags
   {
     core::Table table(
         "F6a: SGD epoch time vs workers (128 MiB gradients, ring)",

@@ -9,12 +9,14 @@
 #include "core/platform.hpp"
 #include "core/report.hpp"
 #include "core/siloed.hpp"
+#include "harness.hpp"
 #include "util/strings.hpp"
 #include "workloads/mobility.hpp"
 
 using namespace evolve;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Harness harness("f8_energy", 0, argc, argv);  // takes no flags
   const core::PowerModel model;
 
   {

@@ -6,6 +6,7 @@
 #include "core/platform.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
+#include "harness.hpp"
 #include "util/strings.hpp"
 
 using namespace evolve;
@@ -26,7 +27,8 @@ util::TimeNs time_get(core::Platform& platform, const storage::ObjectKey& key,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Harness harness("t2_micro", 0, argc, argv);  // takes no flags
   sim::Simulation sim;
   core::Platform platform(sim);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 
 #include "util/backoff.hpp"
@@ -168,47 +169,47 @@ int ObjectStore::at_risk_fragments(const ObjectMeta& meta) const {
   return std::max(0, placed_copies() - live);
 }
 
-std::vector<cluster::NodeId> ObjectStore::place_copies(
-    const ObjectKey& key) const {
-  auto ranked = ranked_servers(key);
-  const int count =
-      std::min<int>(placed_copies(), static_cast<int>(ranked.size()));
-  if (!config_.rack_aware_placement) {
-    ranked.resize(static_cast<std::size_t>(count));
-    return ranked;
-  }
-  // Failure-domain spread: walk the HRW order but let no rack exceed
-  // ceil(copies / live racks), so a whole-rack outage kills at most
-  // that many fragments of any one stripe.
-  std::set<int> live_racks;
-  for (cluster::NodeId node : ranked) {
-    live_racks.insert(cluster_.node(node).rack);
-  }
-  const int racks = std::max<int>(1, static_cast<int>(live_racks.size()));
-  const int cap = (count + racks - 1) / racks;
-  std::vector<cluster::NodeId> out;
-  out.reserve(static_cast<std::size_t>(count));
-  std::map<int, int> per_rack;
-  for (cluster::NodeId node : ranked) {
-    if (static_cast<int>(out.size()) == count) break;
-    int& used = per_rack[cluster_.node(node).rack];
-    if (used >= cap) continue;
-    ++used;
-    out.push_back(node);
+std::vector<cluster::NodeId> ObjectStore::hrw_walk(
+    const std::vector<cluster::NodeId>& ranked,
+    std::vector<cluster::NodeId> chosen, std::size_t want, int spread) const {
+  const auto held = [&chosen](cluster::NodeId node) {
+    return std::find(chosen.begin(), chosen.end(), node) != chosen.end();
+  };
+  if (config_.rack_aware_placement) {
+    // Failure-domain spread: let no rack exceed ceil(spread / live
+    // racks), so a whole-rack outage kills at most that many fragments
+    // of any one stripe.
+    std::set<int> live_racks;
+    for (cluster::NodeId node : ranked) {
+      live_racks.insert(cluster_.node(node).rack);
+    }
+    const int racks = std::max<int>(1, static_cast<int>(live_racks.size()));
+    const int cap = (spread + racks - 1) / racks;
+    std::map<int, int> per_rack;
+    for (cluster::NodeId node : chosen) ++per_rack[cluster_.node(node).rack];
+    for (cluster::NodeId node : ranked) {
+      if (chosen.size() >= want) break;
+      if (held(node)) continue;
+      int& used = per_rack[cluster_.node(node).rack];
+      if (used >= cap) continue;
+      ++used;
+      chosen.push_back(node);
+    }
   }
   // Uneven rack sizes can make the cap infeasible (a rack with fewer
   // live servers than its share); top up in plain HRW order.
   for (cluster::NodeId node : ranked) {
-    if (static_cast<int>(out.size()) == count) break;
-    if (std::find(out.begin(), out.end(), node) == out.end()) {
-      out.push_back(node);
-    }
+    if (chosen.size() >= want) break;
+    if (!held(node)) chosen.push_back(node);
   }
-  return out;
+  return chosen;
 }
 
 std::vector<cluster::NodeId> ObjectStore::locate(const ObjectKey& key) const {
-  return place_copies(key);
+  const auto ranked = ranked_servers(key);
+  const std::size_t count =
+      std::min<std::size_t>(placed_copies(), ranked.size());
+  return hrw_walk(ranked, {}, count, static_cast<int>(count));
 }
 
 int ObjectStore::proximity(cluster::NodeId server,
@@ -250,16 +251,85 @@ util::Bytes ObjectStore::per_server_bytes(util::Bytes size) const {
   return (size + config_.ec_data - 1) / config_.ec_data;  // fragment
 }
 
+std::optional<util::TimeNs> ObjectStore::codec_ns(util::Bytes size) const {
+  if (config_.redundancy == Redundancy::kReplication) return std::nullopt;
+  return static_cast<util::TimeNs>(
+      std::ceil(static_cast<double>(size) * config_.ec_ns_per_byte));
+}
+
+std::vector<cluster::NodeId> ObjectStore::write_targets(
+    const ObjectKey& key) const {
+  auto replicas = locate(key);
+  if (static_cast<int>(replicas.size()) < min_live_copies()) {
+    throw std::runtime_error("put: not enough live storage servers");
+  }
+  return replicas;
+}
+
+const ObjectStore::ObjectMeta& ObjectStore::install(
+    const ObjectKey& key, util::Bytes size,
+    std::vector<cluster::NodeId> replicas) {
+  int version = 0;
+  if (auto old = objects_.find(key); old != objects_.end()) {
+    version = old->second.version + 1;
+    retire(key, old->second);
+  }
+  std::vector<int> fragments(replicas.size());
+  std::iota(fragments.begin(), fragments.end(), 0);
+  ObjectMeta& meta = objects_[key];
+  meta = ObjectMeta{size, per_server_bytes(size), std::move(replicas),
+                    std::move(fragments), version};
+  // Born degraded when live servers cannot host every copy.
+  shift_at_risk(at_risk_fragments(meta));
+  if (health(meta) == Health::kDegraded) {
+    shift_underrep(+1);
+    enqueue_repair(key);
+  }
+  return meta;
+}
+
+void ObjectStore::retire(const ObjectKey& key, const ObjectMeta& meta) {
+  const std::string full = key.full();
+  for (cluster::NodeId r : meta.replicas) {
+    ServerState& state = server_state(r);
+    state.durable_used -= meta.per_server_bytes;
+    state.cache->erase(full);
+    note_replica_removed(r);
+  }
+  if (health(meta) == Health::kDegraded) shift_underrep(-1);
+  shift_at_risk(-at_risk_fragments(meta));
+  purge_corrupted(key);  // a new version replaces any rotten payload
+}
+
+void ObjectStore::fan_out(const ObjectKey& key,
+                          const std::vector<cluster::NodeId>& replicas,
+                          util::Bytes size, std::optional<util::TimeNs> encode,
+                          trace::SpanId span, const PutCallback& finish) {
+  if (encode) {
+    sim_.after(*encode, [this, key, replicas, size, span, finish] {
+      fan_out(key, replicas, size, std::nullopt, span, finish);
+    });
+    return;
+  }
+  const util::Bytes bytes = per_server_bytes(size);
+  const cluster::NodeId primary = replicas.front();
+  write_durable(primary, key, bytes, finish);
+  trace::ScopedContext tctx(tracer_, span);
+  for (std::size_t i = 1; i < replicas.size(); ++i) {
+    const cluster::NodeId peer = replicas[i];
+    fabric_.transfer(primary, peer, bytes, [this, peer, key, bytes, finish] {
+      write_durable(peer, key, bytes, finish);
+    });
+  }
+}
+
 void ObjectStore::put(cluster::NodeId client, const ObjectKey& key,
                       util::Bytes size, PutCallback on_done) {
   if (!bucket_exists(key.bucket)) {
     throw std::invalid_argument("bucket does not exist: " + key.bucket);
   }
   if (size < 0) throw std::invalid_argument("put: negative size");
-  const auto replicas = locate(key);
-  if (static_cast<int>(replicas.size()) < min_live_copies()) {
-    throw std::runtime_error("put: not enough live storage servers");
-  }
+  auto replicas = write_targets(key);
   const util::TimeNs start = sim_.now();
   metrics_.count("put_requests");
   metrics_.count("put_bytes", size);
@@ -269,94 +339,29 @@ void ObjectStore::put(cluster::NodeId client, const ObjectKey& key,
     tracer_->annotate(span, "key", key.full());
     tracer_->annotate(span, "bytes", std::to_string(size));
   }
-
-  // If overwriting, reclaim the old durable bytes first.
-  int version = 0;
-  if (auto it = objects_.find(key); it != objects_.end()) {
-    for (cluster::NodeId r : it->second.replicas) {
-      ServerState& state = server_state(r);
-      state.durable_used -= it->second.per_server_bytes;
-      state.cache->erase(key.full());
-      note_replica_removed(r);
-    }
-    if (health(it->second) == Health::kDegraded) shift_underrep(-1);
-    shift_at_risk(-at_risk_fragments(it->second));
-    version = it->second.version + 1;
-    purge_corrupted(key);  // the overwrite replaces any rotten payload
-  }
-  const util::Bytes per_server = per_server_bytes(size);
-  std::vector<int> fragments(replicas.size());
-  for (std::size_t i = 0; i < fragments.size(); ++i) {
-    fragments[i] = static_cast<int>(i);
-  }
-  objects_[key] =
-      ObjectMeta{size, per_server, replicas, std::move(fragments), version};
-  // Born degraded when live servers cannot host every copy.
-  shift_at_risk(at_risk_fragments(objects_[key]));
-  if (health(objects_[key]) == Health::kDegraded) {
-    shift_underrep(+1);
-    enqueue_repair(key);
-  }
+  install(key, size, replicas);
 
   auto remaining = std::make_shared<int>(static_cast<int>(replicas.size()));
-  auto finish = [this, remaining, start, span,
-                 cb = std::move(on_done)]() mutable {
+  PutCallback finish = [this, remaining, start, span,
+                        cb = std::move(on_done)] {
     if (--*remaining > 0) return;
     metrics_.observe("put_latency_us",
                      (sim_.now() - start) / util::kMicrosecond);
     trace::end_span(tracer_, span);
     cb();
   };
-  const cluster::NodeId primary = replicas.front();
-
-  if (config_.redundancy == Redundancy::kReplication) {
-    // Metadata round, then client -> primary transfer, then fan-out
-    // replication in parallel. Done when every replica is durable.
-    sim_.after(config_.metadata_latency, [this, client, primary, key, size,
-                                          replicas, span, finish]() mutable {
-      trace::ScopedContext tctx(tracer_, span);
-      fabric_.transfer(client, primary, size, [this, primary, key, size,
-                                               replicas, span,
-                                               finish]() mutable {
-        write_durable(primary, key, size, finish);
-        trace::ScopedContext tctx(tracer_, span);
-        for (std::size_t i = 1; i < replicas.size(); ++i) {
-          const cluster::NodeId replica = replicas[i];
-          fabric_.transfer(primary, replica, size,
-                           [this, replica, key, size, finish]() mutable {
-                             write_durable(replica, key, size, finish);
-                           });
-        }
-      });
-    });
-    return;
-  }
-
-  // Erasure coding: client -> primary (full body); primary encodes, then
-  // distributes k+m-1 fragments; every fragment must be durable.
-  const auto encode_ns = static_cast<util::TimeNs>(
-      std::ceil(static_cast<double>(size) * config_.ec_ns_per_byte));
-  sim_.after(config_.metadata_latency, [this, client, primary, key, size,
-                                        per_server, encode_ns, replicas,
-                                        span, finish]() mutable {
-    trace::ScopedContext tctx(tracer_, span);
-    fabric_.transfer(client, primary, size, [this, primary, key, per_server,
-                                             encode_ns, replicas, span,
-                                             finish]() mutable {
-      sim_.after(encode_ns, [this, primary, key, per_server, replicas, span,
-                             finish]() mutable {
-        write_durable(primary, key, per_server, finish);
-        trace::ScopedContext tctx(tracer_, span);
-        for (std::size_t i = 1; i < replicas.size(); ++i) {
-          const cluster::NodeId peer = replicas[i];
-          fabric_.transfer(primary, peer, per_server,
-                           [this, peer, key, per_server, finish]() mutable {
-                             write_durable(peer, key, per_server, finish);
-                           });
-        }
-      });
-    });
-  });
+  // Metadata round, then the client streams the whole body to the
+  // primary, which fans out. Done when every copy or fragment is durable.
+  sim_.after(config_.metadata_latency,
+             [this, client, key, size, replicas = std::move(replicas), span,
+              finish = std::move(finish)] {
+               trace::ScopedContext tctx(tracer_, span);
+               fabric_.transfer(client, replicas.front(), size,
+                                [this, key, size, replicas, span, finish] {
+                                  fan_out(key, replicas, size, codec_ns(size),
+                                          span, finish);
+                                });
+             });
 }
 
 void ObjectStore::get(cluster::NodeId client, const ObjectKey& key,
@@ -652,8 +657,7 @@ void ObjectStore::complete_read(const std::shared_ptr<Read>& read) {
   }
   // Decode at the client: stripe assembly, plus the Reed-Solomon
   // recovery math when parity stood in for dead data fragments.
-  auto decode_ns = static_cast<util::TimeNs>(std::ceil(
-      static_cast<double>(read->size) * config_.ec_ns_per_byte));
+  util::TimeNs decode_ns = *codec_ns(read->size);
   if (reconstructed) {
     decode_ns += static_cast<util::TimeNs>(std::ceil(
         static_cast<double>(read->size) * config_.ec_reconstruct_ns_per_byte));
@@ -675,23 +679,11 @@ void ObjectStore::preload(const ObjectKey& key, util::Bytes size,
     throw std::invalid_argument("preload: object already exists: " +
                                 key.full());
   }
-  const auto replicas = locate(key);
-  const util::Bytes per_server = per_server_bytes(size);
-  std::vector<int> fragments(replicas.size());
-  for (std::size_t i = 0; i < fragments.size(); ++i) {
-    fragments[i] = static_cast<int>(i);
-  }
-  objects_[key] =
-      ObjectMeta{size, per_server, replicas, std::move(fragments), 0};
-  for (cluster::NodeId r : replicas) {
+  const ObjectMeta& meta = install(key, size, locate(key));
+  for (cluster::NodeId r : meta.replicas) {
     ServerState& state = server_state(r);
-    state.durable_used += per_server;
-    if (warm_cache) state.cache->put(key.full(), per_server);
-  }
-  shift_at_risk(at_risk_fragments(objects_[key]));
-  if (health(objects_[key]) == Health::kDegraded) {
-    shift_underrep(+1);
-    enqueue_repair(key);
+    state.durable_used += meta.per_server_bytes;
+    if (warm_cache) state.cache->put(key.full(), meta.per_server_bytes);
   }
 }
 
@@ -699,15 +691,7 @@ void ObjectStore::remove(cluster::NodeId /*client*/, const ObjectKey& key,
                          PutCallback on_done) {
   auto it = objects_.find(key);
   if (it != objects_.end()) {
-    for (cluster::NodeId r : it->second.replicas) {
-      ServerState& state = server_state(r);
-      state.durable_used -= it->second.per_server_bytes;
-      state.cache->erase(key.full());
-      note_replica_removed(r);
-    }
-    if (health(it->second) == Health::kDegraded) shift_underrep(-1);
-    shift_at_risk(-at_risk_fragments(it->second));
-    purge_corrupted(key);
+    retire(key, it->second);
     objects_.erase(it);
     metrics_.count("delete_requests");
   }
@@ -755,11 +739,11 @@ void ObjectStore::upload_part(cluster::NodeId client, std::int64_t upload_id,
   if (it->second.parts.count(part_number) != 0) {
     throw std::invalid_argument("duplicate part number");
   }
+  if (size < 0) throw std::invalid_argument("upload_part: negative size");
+  // Parts stream to the primary replica of the final key.
+  const cluster::NodeId primary = write_targets(it->second.key).front();
   it->second.parts[part_number] = size;
   it->second.total += size;
-  // Parts stream to the primary replica of the final key.
-  const auto replicas = locate(it->second.key);
-  const cluster::NodeId primary = replicas.front();
   sim_.after(config_.metadata_latency,
              [this, client, primary, size, cb = std::move(on_done)]() mutable {
                fabric_.transfer(client, primary, size, std::move(cb));
@@ -774,52 +758,22 @@ void ObjectStore::complete_multipart(std::int64_t upload_id,
   }
   const ObjectKey key = it->second.key;
   const util::Bytes total = it->second.total;
-  const auto replicas = locate(key);
+  auto replicas = write_targets(key);
   uploads_.erase(it);
-  const util::Bytes per_server = per_server_bytes(total);
-  int version = 0;
-  if (auto old = objects_.find(key); old != objects_.end()) {
-    if (health(old->second) == Health::kDegraded) shift_underrep(-1);
-    shift_at_risk(-at_risk_fragments(old->second));
-    version = old->second.version + 1;
-    purge_corrupted(key);
-  }
-  std::vector<int> fragments(replicas.size());
-  for (std::size_t i = 0; i < fragments.size(); ++i) {
-    fragments[i] = static_cast<int>(i);
-  }
-  objects_[key] =
-      ObjectMeta{total, per_server, replicas, std::move(fragments), version};
-  shift_at_risk(at_risk_fragments(objects_[key]));
-  if (health(objects_[key]) == Health::kDegraded) {
-    shift_underrep(+1);
-    enqueue_repair(key);
-  }
+  install(key, total, replicas);
 
-  // Assembly: parts already live on the primary, which persists its
-  // share and fans out full copies (replication) or fragments (EC).
-  const auto encode_ns =
-      config_.redundancy == Redundancy::kErasure
-          ? static_cast<util::TimeNs>(std::ceil(static_cast<double>(total) *
-                                                config_.ec_ns_per_byte))
-          : 0;
+  // Assembly: the parts already sit on the primary, which encodes
+  // within the metadata round and fans out.
   auto remaining = std::make_shared<int>(static_cast<int>(replicas.size()));
-  auto finish = [remaining, cb = std::move(on_done)]() mutable {
+  PutCallback finish = [remaining, cb = std::move(on_done)] {
     if (--*remaining > 0) return;
     cb();
   };
-  const cluster::NodeId primary = replicas.front();
-  sim_.after(config_.metadata_latency + encode_ns,
-             [this, primary, key, per_server, replicas, finish]() mutable {
-               write_durable(primary, key, per_server, finish);
-               for (std::size_t i = 1; i < replicas.size(); ++i) {
-                 const cluster::NodeId peer = replicas[i];
-                 fabric_.transfer(
-                     primary, peer, per_server,
-                     [this, peer, key, per_server, finish]() mutable {
-                       write_durable(peer, key, per_server, finish);
-                     });
-               }
+  sim_.after(config_.metadata_latency + codec_ns(total).value_or(0),
+             [this, key, total, replicas = std::move(replicas),
+              finish = std::move(finish)] {
+               fan_out(key, replicas, total, std::nullopt, trace::kNoSpan,
+                       finish);
              });
 }
 
@@ -1206,16 +1160,13 @@ void ObjectStore::start_repair(const ObjectKey& key) {
   ++repairs_in_flight_;
   metrics_.count("repairs_started");
   // Admission throttle: a token-bucket edge over the fabric bytes this
-  // repair will inject (one copy for replication, k source fragments
-  // for an EC reconstruction). The repair holds its concurrency slot
-  // while it waits, so a rebuild storm is paced below the cap instead
-  // of stampeding foreground traffic.
+  // repair will inject (its min_live_copies() source copies or
+  // fragments). The repair holds its concurrency slot while it waits,
+  // so a rebuild storm is paced below the cap instead of stampeding
+  // foreground traffic.
   util::TimeNs wait = 0;
   if (config_.rebuild_bandwidth_bytes_per_s > 0) {
-    const util::Bytes bytes =
-        config_.redundancy == Redundancy::kReplication
-            ? meta.per_server_bytes
-            : meta.per_server_bytes * config_.ec_data;
+    const util::Bytes bytes = meta.per_server_bytes * min_live_copies();
     const auto duration = static_cast<util::TimeNs>(
         std::ceil(static_cast<double>(bytes) * 1e9 /
                   config_.rebuild_bandwidth_bytes_per_s));
@@ -1251,43 +1202,12 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
     pump_repairs();
     return;
   }
-  ObjectMeta& meta = it->second;
+  const ObjectMeta& meta = it->second;
   // Target: the best-ranked live server not already holding a copy,
-  // respecting the per-rack placement cap (relaxed only when no rack-
-  // compliant target exists, mirroring place_copies).
-  const auto ranked = ranked_servers(key);
-  cluster::NodeId target = cluster::kInvalidNode;
-  if (config_.rack_aware_placement) {
-    std::set<int> live_racks;
-    for (cluster::NodeId node : ranked) {
-      live_racks.insert(cluster_.node(node).rack);
-    }
-    const int racks = std::max<int>(1, static_cast<int>(live_racks.size()));
-    const int cap = (placed_copies() + racks - 1) / racks;
-    std::map<int, int> per_rack;
-    for (cluster::NodeId r : meta.replicas) {
-      ++per_rack[cluster_.node(r).rack];
-    }
-    for (cluster::NodeId node : ranked) {
-      if (std::find(meta.replicas.begin(), meta.replicas.end(), node) !=
-          meta.replicas.end()) {
-        continue;
-      }
-      if (per_rack[cluster_.node(node).rack] >= cap) continue;
-      target = node;
-      break;
-    }
-  }
-  if (target == cluster::kInvalidNode) {
-    for (cluster::NodeId node : ranked) {
-      if (std::find(meta.replicas.begin(), meta.replicas.end(), node) ==
-          meta.replicas.end()) {
-        target = node;
-        break;
-      }
-    }
-  }
-  if (target == cluster::kInvalidNode) {
+  // under the placement walk's rack cap.
+  const auto placed = hrw_walk(ranked_servers(key), meta.replicas,
+                               meta.replicas.size() + 1, placed_copies());
+  if (placed.size() == meta.replicas.size()) {
     // Every live server already holds a copy; retry on the next recovery.
     --repairs_in_flight_;
     repair_stalled_.insert(key);
@@ -1295,7 +1215,7 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
     pump_repairs();
     return;
   }
-  const util::Bytes fragment = meta.per_server_bytes;
+  const cluster::NodeId target = placed.back();
   // Re-replication runs in the background, so the span is a root.
   const trace::SpanId span =
       trace::begin_span(tracer_, trace::Layer::kStorage, "store.repair",
@@ -1306,52 +1226,35 @@ void ObjectStore::begin_repair_transfers(const ObjectKey& key, int version) {
   }
 
   // Sources: the survivors nearest the target, first in metadata order
-  // among equals.
+  // among equals — one copy to stream, or k fragments to decode from.
   std::vector<cluster::NodeId> sources = meta.replicas;
   std::stable_sort(sources.begin(), sources.end(),
                    [&](cluster::NodeId a, cluster::NodeId b) {
                      return proximity(a, target) < proximity(b, target);
                    });
-  if (config_.redundancy == Redundancy::kReplication) {
-    // Stream one surviving copy to the target.
-    const cluster::NodeId source = sources.front();
-    io_.device(source, server_state(source).durable_device)
-        .submit(IoKind::kRead, fragment,
-                [this, key, source, target, fragment, version, span] {
-                  trace::ScopedContext tctx(tracer_, span);
-                  fabric_.transfer(source, target, fragment,
-                                   [this, key, target, version, span] {
-                                     trace::end_span(tracer_, span);
-                                     finish_repair(key, target, version);
-                                   });
-                });
-    return;
-  }
-  // Erasure coding: rebuild the fragment from k survivors, decode at
-  // the target, then persist.
-  const int k = config_.ec_data;
-  sources.resize(static_cast<std::size_t>(k));
-  const auto decode_ns = static_cast<util::TimeNs>(std::ceil(
-      static_cast<double>(meta.size) * config_.ec_ns_per_byte));
-  auto remaining = std::make_shared<int>(k);
+  sources.resize(static_cast<std::size_t>(min_live_copies()));
+  auto rebuild = std::make_shared<Rebuild>(
+      Rebuild{key, target, version, min_live_copies(), meta.per_server_bytes,
+              codec_ns(meta.size), span});
   for (cluster::NodeId source : sources) {
     io_.device(source, server_state(source).durable_device)
-        .submit(IoKind::kRead, fragment,
-                [this, key, source, target, fragment, version, remaining,
-                 decode_ns, span] {
-                  trace::ScopedContext tctx(tracer_, span);
-                  fabric_.transfer(
-                      source, target, fragment,
-                      [this, key, target, version, remaining, decode_ns,
-                       span] {
-                        if (--*remaining > 0) return;
-                        sim_.after(decode_ns,
-                                   [this, key, target, version, span] {
-                                     trace::end_span(tracer_, span);
-                                     finish_repair(key, target, version);
-                                   });
-                      });
-                });
+        .submit(IoKind::kRead, rebuild->fragment, [this, rebuild, source] {
+          trace::ScopedContext tctx(tracer_, rebuild->span);
+          fabric_.transfer(
+              source, rebuild->target, rebuild->fragment, [this, rebuild] {
+                if (--rebuild->waiting > 0) return;
+                auto done = [this, rebuild] {
+                  trace::end_span(tracer_, rebuild->span);
+                  finish_repair(rebuild->key, rebuild->target,
+                                rebuild->version);
+                };
+                if (rebuild->decode) {
+                  sim_.after(*rebuild->decode, std::move(done));
+                } else {
+                  done();
+                }
+              });
+        });
   }
 }
 

@@ -245,8 +245,9 @@ class ObjectStore {
   /// Completes the upload, making the assembled object visible.
   void complete_multipart(std::int64_t upload_id, PutCallback on_done);
 
-  /// Replica servers for a key (primary first). Exposed so the dataflow
-  /// engine can do locality-aware task placement.
+  /// Where `key` is placed among the live servers (primary first): the
+  /// first placed copies of the rack-capped HRW walk. Exposed so the
+  /// dataflow engine can do locality-aware task placement.
   std::vector<cluster::NodeId> locate(const ObjectKey& key) const;
 
   const std::vector<cluster::NodeId>& servers() const { return servers_; }
@@ -424,6 +425,33 @@ class ObjectStore {
   void write_durable(cluster::NodeId server, const ObjectKey& key,
                      util::Bytes size, std::function<void()> on_done);
 
+  // -- Write path (DESIGN.md §13, "Write path") ------------------------
+  /// locate() for a write: throws std::runtime_error when fewer live
+  /// servers remain than the object needs to be readable.
+  std::vector<cluster::NodeId> write_targets(const ObjectKey& key) const;
+  /// Writes the metadata of a new version of `key` placed on `replicas`
+  /// (no bytes move), retiring the previous version first; a version
+  /// born degraded is queued for repair.
+  const ObjectMeta& install(const ObjectKey& key, util::Bytes size,
+                            std::vector<cluster::NodeId> replicas);
+  /// Forgets `meta`'s placement (overwrite and delete): durable bytes,
+  /// cache entries, suspect at-risk counts, corruption marks, and the
+  /// under-replication and at-risk integrals.
+  void retire(const ObjectKey& key, const ObjectMeta& meta);
+  /// The primary fan-out of an object of `size` bytes already on
+  /// `replicas.front()`: after the optional `encode` delay, the primary
+  /// writes its copy or fragment and sends one to every peer, which
+  /// writes it. `finish` runs once per replica.
+  void fan_out(const ObjectKey& key,
+               const std::vector<cluster::NodeId>& replicas, util::Bytes size,
+               std::optional<util::TimeNs> encode, trace::SpanId span,
+               const PutCallback& finish);
+  /// The erasure codec over `size` logical bytes: the encode at a
+  /// write's primary, the decode at a GET's client or a rebuild's
+  /// target. Replication has no codec step, so its writes and rebuilds
+  /// take no zero-delay hop.
+  std::optional<util::TimeNs> codec_ns(util::Bytes size) const;
+
   /// Distance rank of `server` from `client`: 0 for the node itself, 1
   /// for a server in its rack, 2 otherwise.
   int proximity(cluster::NodeId server, cluster::NodeId client) const;
@@ -508,9 +536,15 @@ class ObjectStore {
   int at_risk_fragments(const ObjectMeta& meta) const;
   /// All live servers ranked by rendezvous hash for `key`.
   std::vector<cluster::NodeId> ranked_servers(const ObjectKey& key) const;
-  /// HRW ranking filtered by the per-rack placement cap (when enabled):
-  /// the first placed_copies() entries are where the object goes.
-  std::vector<cluster::NodeId> place_copies(const ObjectKey& key) const;
+  /// The rack-capped HRW walk behind placement and the repair target:
+  /// extends `chosen` to `want` servers in `ranked` order, skipping any
+  /// server whose rack already holds ceil(`spread` / live racks) of
+  /// `chosen` (when rack-aware placement is on), then tops up in plain
+  /// HRW order when that cap is infeasible.
+  std::vector<cluster::NodeId> hrw_walk(
+      const std::vector<cluster::NodeId>& ranked,
+      std::vector<cluster::NodeId> chosen, std::size_t want,
+      int spread) const;
   /// Folds the running under-replication integral up to now, then
   /// applies `delta` to the current count.
   void shift_underrep(int delta);
@@ -525,9 +559,23 @@ class ObjectStore {
   void note_replica_removed(cluster::NodeId node);
   void enqueue_repair(const ObjectKey& key);
   void pump_repairs();
+  /// One rebuild (DESIGN.md §13, "Write path"): `waiting` source
+  /// copies or fragments still to land at `target`, then the optional
+  /// decode, then finish_repair.
+  struct Rebuild {
+    ObjectKey key;
+    cluster::NodeId target = cluster::kInvalidNode;
+    int version = 0;
+    int waiting = 0;
+    util::Bytes fragment = 0;  // bytes each source reads and moves
+    std::optional<util::TimeNs> decode;
+    trace::SpanId span = trace::kNoSpan;
+  };
   /// Claims a concurrency slot and (if capped) waits out the rebuild
   /// bandwidth admission before starting the transfers.
   void start_repair(const ObjectKey& key);
+  /// Picks the target and streams the min_live_copies() survivors
+  /// nearest it there.
   void begin_repair_transfers(const ObjectKey& key, int version);
   void finish_repair(const ObjectKey& key, cluster::NodeId target,
                      int version);

@@ -8,7 +8,8 @@
 //   1. no object is ever lost while at most m fragments per stripe are
 //      dead (the rack cap guarantees an outage kills at most 2 of 6);
 //   2. degraded reads still complete and return the correct sizes;
-//   3. background rebuild restores full redundancy by the drain;
+//   3. background rebuild restores full redundancy by the drain, and
+//      every server's durable bytes match the live placements;
 //   4. the run is deterministic, with tracing on or off.
 #include <gtest/gtest.h>
 
@@ -130,6 +131,12 @@ Signature run_seed(std::uint64_t seed, bool traced) {
   EXPECT_EQ(store.under_replicated_objects(), 0);
   EXPECT_EQ(store.durability_stats().missing_fragments, 0);
   EXPECT_EQ(store.corrupted_replica_count(), 0);
+  // Durable bytes match live metadata on every server once drained.
+  for (auto server : store.servers()) {
+    EXPECT_EQ(store.durable_bytes(server),
+              store.expected_durable_bytes(server))
+        << "server " << server << " durable bytes drifted";
+  }
   EXPECT_EQ(fabric.stats().flows_in_flight, 0);
   if (traced) tracer.close_open_spans();
   return Signature{sim.now(), store.metrics().counter("get_bytes"),

@@ -137,6 +137,18 @@ TEST(ObjectStore, OverwriteReclaimsOldBytes) {
   for (auto r : f.store.locate(key)) {
     EXPECT_EQ(f.store.durable_bytes(r), 500);
   }
+  // A multipart upload to the same key retires the old version too.
+  const auto id = f.store.initiate_multipart(key);
+  f.store.upload_part(0, id, 1, 300, [] {});
+  f.store.complete_multipart(id, [] {});
+  f.sim.run();
+  for (auto s : f.store.servers()) {
+    EXPECT_EQ(f.store.durable_bytes(s), f.store.expected_durable_bytes(s))
+        << "server " << s;
+  }
+  for (auto r : f.store.locate(key)) {
+    EXPECT_EQ(f.store.durable_bytes(r), 300);
+  }
 }
 
 TEST(ObjectStore, RemoveFreesSpaceAndMetadata) {
@@ -260,6 +272,21 @@ TEST(ObjectStore, MultipartRejectsDuplicateParts) {
                std::invalid_argument);
   EXPECT_THROW(f.store.upload_part(0, 999, 1, 10, [] {}),
                std::invalid_argument);
+  EXPECT_THROW(f.store.upload_part(0, id, 2, -1, [] {}),
+               std::invalid_argument);
+}
+
+TEST(ObjectStore, MultipartNeedsLiveServersLikePut) {
+  StoreFixture f;
+  const ObjectKey key{"data", "big"};
+  const auto id = f.store.initiate_multipart(key);
+  f.store.upload_part(0, id, 1, 10, [] {});
+  f.sim.run();
+  for (auto s : f.store.servers()) f.store.handle_node_failure(s);
+  EXPECT_THROW(f.store.put(0, key, 10, [] {}), std::runtime_error);
+  EXPECT_THROW(f.store.upload_part(0, id, 2, 10, [] {}), std::runtime_error);
+  EXPECT_THROW(f.store.complete_multipart(id, [] {}), std::runtime_error);
+  EXPECT_FALSE(f.store.exists(key));
 }
 
 TEST(ObjectStore, ReplicaChoicePrefersLocalServer) {

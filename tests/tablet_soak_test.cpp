@@ -172,6 +172,13 @@ Fingerprint run_seed(std::uint64_t seed, bool traced) {
   EXPECT_EQ(fabric.stats().flows_in_flight, 0);
   EXPECT_EQ(fabric.parked_flows(), 0);
   EXPECT_GT(service.shard_map().epoch(), 1);  // churn actually happened
+  // WAL and flush writes (fenced ones included) leave every server's
+  // durable bytes equal to its live placements.
+  for (auto server : store.servers()) {
+    EXPECT_EQ(store.durable_bytes(server),
+              store.expected_durable_bytes(server))
+        << "server " << server << " durable bytes drifted";
+  }
 
   Fingerprint fp;
   fp.acked = acked_writes;
