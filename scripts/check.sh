@@ -56,6 +56,8 @@ run_bench "$BUILD_DIR" f14_durability --json
 run_bench "$BUILD_DIR" f15_fairness --json
 run_bench "$BUILD_DIR" f16_partitions --json
 run_bench "$BUILD_DIR" f17_tablets --json
+run_bench "$BUILD_DIR" f1_scaling --json
+run_bench "$BUILD_DIR" t1_endtoend --json
 
 # -- Baseline diffs (before any --trace run touches the reports) -------
 # check_baseline NAME WHY [HOST_TIMING_REGEX] diffs $BUILD_DIR/BENCH_NAME.json
@@ -70,15 +72,23 @@ check_baseline() {
 # F9 mixes simulated metrics with host wall-clock timings; only the
 # simulated lines are expected to be bit-identical. F10, F11, F12, F14
 # (durability under correlated failure), F15 (fair share under
-# contention), F16 (partitions + metastability defenses) and F17 (tablet
-# serving under Zipf skew) are fully simulation-deterministic, so every
-# column must match the baseline bit for bit.
+# contention), F16 (partitions + metastability defenses), F17 (tablet
+# serving under Zipf skew) and F1 (shuffle-heavy scaling over the
+# fabric) are fully simulation-deterministic, so every column must match
+# the baseline bit for bit.
 check_baseline f9_churn "deviates from baseline" \
   '"(incremental|reference)_(wall_s|us_per_flow|us_per_event)"|"speedup_per_flow"'
 for name in f10_faults f11_gray f12_serving f14_durability f15_fairness \
-            f16_partitions f17_tablets; do
+            f16_partitions f17_tablets f1_scaling; do
   check_baseline "$name" "deviates from baseline"
 done
+# T1 (converged workflows end to end) is tracked as its --trace report,
+# which adds the per-layer critical-path *_crit_* keys. The untraced
+# report must be that baseline without them; trailing commas are dropped
+# on both sides because the last key moves.
+diff <(sed 's/,$//' "$BUILD_DIR/BENCH_t1_endtoend.json") \
+     <(grep -v '_crit_' BENCH_t1_endtoend.json | sed 's/,$//') \
+  || { echo "check.sh: BENCH_t1_endtoend.json deviates from baseline"; exit 1; }
 echo "check.sh: bench metrics match the tracked baselines"
 
 # -- F15 fairness gate --------------------------------------------------
@@ -193,6 +203,7 @@ awk -v fresh="$fresh_eps" -v base="$base_eps" -v speedup="$fresh_speedup" \
 
 # -- Traced runs + strict JSON validation ------------------------------
 run_bench "$BUILD_DIR" t1_endtoend --trace --json
+check_baseline t1_endtoend "deviates from baseline under --trace"
 run_bench "$BUILD_DIR" f10_faults --trace --json
 # Tracing must not perturb the simulation: the traced F11 (gray
 # failures), F12 (serving) and F17 (tablet spans) reruns have to

@@ -9,7 +9,15 @@ namespace evolve::net {
 
 namespace {
 constexpr double kDrainEpsilon = 1e-6;  // bytes
+// Group key of every loopback pair: they all share the empty path.
+constexpr std::uint64_t kLoopbackKey = ~std::uint64_t{0};
+
+std::uint64_t pair_key(cluster::NodeId src, cluster::NodeId dst) {
+  if (src == dst) return kLoopbackKey;
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32 |
+         static_cast<std::uint32_t>(dst);
 }
+}  // namespace
 
 Fabric::Fabric(sim::Simulation& sim, const Topology& topology,
                FabricConfig config)
@@ -17,32 +25,46 @@ Fabric::Fabric(sim::Simulation& sim, const Topology& topology,
       topology_(topology),
       config_(config),
       last_settle_(sim.now()) {
-  link_flow_count_.assign(static_cast<std::size_t>(topology_.link_count()), 0);
-  link_capacity_factor_.assign(static_cast<std::size_t>(topology_.link_count()),
-                               1.0);
-  link_extra_latency_.assign(static_cast<std::size_t>(topology_.link_count()),
-                             0);
+  const auto link_count = static_cast<std::size_t>(topology_.link_count());
+  link_capacity_factor_.assign(link_count, 1.0);
+  link_extra_latency_.assign(link_count, 0);
+  link_capacity_.resize(link_count);
+  for (std::size_t l = 0; l < link_count; ++l) {
+    link_capacity_[l] =
+        topology_.link(static_cast<LinkId>(l)).capacity_bytes_per_s;
+  }
 }
 
 void Fabric::set_link_capacity_factor(LinkId link, double factor) {
   if (!(factor > 0.0)) {
     throw std::invalid_argument("link capacity factor must be > 0");
   }
+  if (link < 0 || link >= topology_.link_count()) {
+    throw std::out_of_range("set_link_capacity_factor: bad link id");
+  }
+  const auto l = static_cast<std::size_t>(link);
   // Settle progress at the old rates before the capacity change, then
   // trigger a re-solve so in-flight flows pick up the new rates.
   if (config_.use_reference_solver) {
     ref_settle_progress();
-    link_capacity_factor_[static_cast<std::size_t>(link)] = factor;
-    ref_recompute();
   } else {
     settle_progress();
-    link_capacity_factor_[static_cast<std::size_t>(link)] = factor;
-    mark_dirty();
   }
+  link_capacity_factor_[l] = factor;
+  link_capacity_[l] = topology_.link(link).capacity_bytes_per_s * factor;
+  if (config_.use_reference_solver) {
+    ref_recompute();
+    return;
+  }
+  rates_stale_ = true;
+  mark_dirty();
 }
 
 void Fabric::set_link_extra_latency(LinkId link, util::TimeNs extra) {
   if (extra < 0) throw std::invalid_argument("extra latency must be >= 0");
+  if (link < 0 || link >= topology_.link_count()) {
+    throw std::out_of_range("set_link_extra_latency: bad link id");
+  }
   link_extra_latency_[static_cast<std::size_t>(link)] = extra;
   any_extra_latency_ = false;
   for (const util::TimeNs e : link_extra_latency_) {
@@ -53,6 +75,10 @@ void Fabric::set_link_extra_latency(LinkId link, util::TimeNs extra) {
 FlowId Fabric::transfer(cluster::NodeId src, cluster::NodeId dst,
                         util::Bytes bytes, FlowCallback on_complete) {
   if (bytes < 0) throw std::invalid_argument("transfer: negative bytes");
+  if (src < 0 || src >= topology_.host_count() || dst < 0 ||
+      dst >= topology_.host_count()) {
+    throw std::out_of_range("transfer: bad host id");
+  }
   util::TimeNs latency = topology_.latency(src, dst);
   if (any_extra_latency_) {
     for (const LinkId l : topology_.path(src, dst)) {
@@ -94,30 +120,14 @@ FlowId Fabric::transfer(cluster::NodeId src, cluster::NodeId dst,
     });
     return id;
   }
-  std::vector<LinkId> path = topology_.path(src, dst);
   if (config_.use_reference_solver) {
-    return ref_transfer(id, src, dst, std::move(path), bytes, latency,
+    return ref_transfer(id, src, dst, topology_.path(src, dst), bytes, latency,
                         std::move(on_complete));
   }
 
   settle_progress();
-  const int slot = acquire_flow_slot();
-  const auto si = static_cast<std::size_t>(slot);
-  const int gi = group_for_path(std::move(path));
-  Group& group = groups_[static_cast<std::size_t>(gi)];
-  flow_id_[si] = id;
-  flow_group_[si] = gi;
-  flow_bytes_[si] = bytes;
-  flow_latency_[si] = latency;
-  flow_src_[si] = src;
-  flow_dst_[si] = dst;
-  flow_finish_drain_[si] = group.drain_total + static_cast<double>(bytes);
-  flow_cb_[si] = std::move(on_complete);
-  group.members.push(Member{flow_finish_drain_[si], id, slot});
-  ++group.size;
-  for (LinkId l : group.path) ++link_flow_count_[static_cast<std::size_t>(l)];
-  slot_of_.emplace(id, slot);
-  ++active_flows_;
+  enter_flow(id, src, dst, bytes, static_cast<double>(bytes), latency,
+             std::move(on_complete));
   mark_dirty();
   return id;
 }
@@ -195,9 +205,34 @@ void Fabric::release_flow_slot(int slot) {
   free_slots_.push_back(slot);
 }
 
-int Fabric::group_for_path(std::vector<LinkId> path) {
-  auto it = group_of_path_.find(path);
-  if (it != group_of_path_.end()) return it->second;
+void Fabric::enter_flow(FlowId id, cluster::NodeId src, cluster::NodeId dst,
+                        util::Bytes bytes, double remaining,
+                        util::TimeNs latency, FlowCallback cb) {
+  const int gi = group_for_pair(src, dst);
+  const int slot = acquire_flow_slot();
+  const auto si = static_cast<std::size_t>(slot);
+  Group& group = groups_[static_cast<std::size_t>(gi)];
+  flow_id_[si] = id;
+  flow_group_[si] = gi;
+  flow_bytes_[si] = bytes;
+  flow_latency_[si] = latency;
+  flow_src_[si] = src;
+  flow_dst_[si] = dst;
+  flow_finish_drain_[si] = group.drain_total + remaining;
+  flow_cb_[si] = std::move(cb);
+  group.members.push_back(Member{flow_finish_drain_[si], id, slot});
+  std::push_heap(group.members.begin(), group.members.end(), MemberLater{});
+  ++group.size;
+  if (!group.path.empty()) rates_stale_ = true;
+  slot_of_.emplace(id, slot);
+  ++active_flows_;
+}
+
+int Fabric::group_for_pair(cluster::NodeId src, cluster::NodeId dst) {
+  const std::uint64_t key = pair_key(src, dst);
+  const auto it = group_of_pair_.find(key);
+  if (it != group_of_pair_.end()) return it->second;
+  std::vector<LinkId> path = topology_.path(src, dst);
   int gi;
   if (!free_groups_.empty()) {
     gi = free_groups_.back();
@@ -207,34 +242,41 @@ int Fabric::group_for_path(std::vector<LinkId> path) {
     groups_.emplace_back();
   }
   Group& group = groups_[static_cast<std::size_t>(gi)];
+  group.key = key;
   group.path = std::move(path);
   group.rate =
       group.path.empty() ? topology_.config().loopback_bytes_per_s : 0.0;
   group.drain_total = 0.0;
   group.size = 0;
-  group_of_path_.emplace(group.path, gi);
+  group_of_pair_.emplace(key, gi);
+  live_groups_.insert(
+      std::upper_bound(live_groups_.begin(), live_groups_.end(), gi), gi);
   return gi;
 }
 
 void Fabric::leave_group(int group_index) {
   Group& group = groups_[static_cast<std::size_t>(group_index)];
-  for (LinkId l : group.path) --link_flow_count_[static_cast<std::size_t>(l)];
   --group.size;
+  if (!group.path.empty()) rates_stale_ = true;
   if (group.size == 0) {
-    group_of_path_.erase(group.path);
+    group_of_pair_.erase(group.key);
     group.path.clear();
-    group.members = {};
+    group.members.clear();
     group.rate = 0.0;
     group.drain_total = 0.0;
     free_groups_.push_back(group_index);
+    live_groups_.erase(std::lower_bound(live_groups_.begin(),
+                                        live_groups_.end(), group_index));
   }
 }
 
 void Fabric::purge_dead_members(Group& group) {
   while (!group.members.empty()) {
-    const Member& m = group.members.top();
+    const Member& m = group.members.front();
     if (flow_id_[static_cast<std::size_t>(m.slot)] == m.id) return;
-    group.members.pop();  // cancelled flow; its slot moved on
+    // Cancelled flow; its slot moved on.
+    std::pop_heap(group.members.begin(), group.members.end(), MemberLater{});
+    group.members.pop_back();
   }
 }
 
@@ -243,8 +285,9 @@ void Fabric::settle_progress() {
   if (now == last_settle_) return;
   const double dt = util::to_seconds(now - last_settle_);
   last_settle_ = now;
-  for (Group& group : groups_) {
-    if (group.size > 0) group.drain_total += group.rate * dt;
+  for (const int gi : live_groups_) {
+    Group& group = groups_[static_cast<std::size_t>(gi)];
+    group.drain_total += group.rate * dt;
   }
 }
 
@@ -265,85 +308,35 @@ void Fabric::flush_if_dirty() {
   dirty_ = false;
   settle_progress();
   clear_pending_event();
-  if (active_flows_ == 0) return;
-  solve_grouped();
+  if (active_flows_ == 0) {
+    rates_stale_ = false;  // no live group is left to hold a rate
+    return;
+  }
+  if (rates_stale_) solve_grouped();
   double earliest_s = std::numeric_limits<double>::infinity();
-  for (Group& group : groups_) {
-    if (group.size == 0) continue;
+  for (const int gi : live_groups_) {
+    Group& group = groups_[static_cast<std::size_t>(gi)];
     if (group.rate <= 0) {
       throw std::logic_error("flow with zero rate would never complete");
     }
     purge_dead_members(group);
     earliest_s = std::min(
         earliest_s,
-        (group.members.top().finish_drain - group.drain_total) / group.rate);
+        (group.members.front().finish_drain - group.drain_total) / group.rate);
   }
   schedule_completion(earliest_s);
 }
 
 void Fabric::solve_grouped() {
   ++stats_.rate_recomputations;
-  const auto link_count = static_cast<std::size_t>(topology_.link_count());
-  cap_scratch_.resize(link_count);
-  for (std::size_t l = 0; l < link_count; ++l) {
-    cap_scratch_[l] =
-        topology_.link(static_cast<LinkId>(l)).capacity_bytes_per_s *
-        link_capacity_factor_[l];
+  rates_stale_ = false;
+  solver_.clear();
+  for (const int gi : live_groups_) {
+    const Group& group = groups_[static_cast<std::size_t>(gi)];
+    if (!group.path.empty()) solver_.add(gi, group.path, group.size);
   }
-  unfixed_scratch_ = link_flow_count_;
-
-  pending_scratch_.clear();
-  std::int64_t remaining = 0;
-  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-    Group& group = groups_[gi];
-    if (group.size == 0 || group.path.empty()) continue;
-    group.rate = -1.0;  // unfixed marker
-    pending_scratch_.push_back(static_cast<int>(gi));
-    remaining += group.size;
-  }
-
-  while (remaining > 0) {
-    // Find the bottleneck: the link with the smallest fair share.
-    double best_share = std::numeric_limits<double>::infinity();
-    for (std::size_t l = 0; l < link_count; ++l) {
-      if (unfixed_scratch_[l] == 0) continue;
-      const double share =
-          std::max(0.0, cap_scratch_[l]) / unfixed_scratch_[l];
-      best_share = std::min(best_share, share);
-    }
-    if (!std::isfinite(best_share)) {
-      throw std::logic_error("max-min: unfixed flows but no loaded link");
-    }
-    // Fix every unfixed group crossing a link at the bottleneck share. The
-    // residual capacity is drained with one subtraction per member flow so
-    // the arithmetic matches the per-flow reference solver bit for bit.
-    bool fixed_any = false;
-    for (int gi : pending_scratch_) {
-      Group& group = groups_[static_cast<std::size_t>(gi)];
-      if (group.rate >= 0) continue;
-      bool at_bottleneck = false;
-      for (LinkId l : group.path) {
-        const auto idx = static_cast<std::size_t>(l);
-        const double share =
-            std::max(0.0, cap_scratch_[idx]) / unfixed_scratch_[idx];
-        if (share <= best_share * (1 + 1e-12)) {
-          at_bottleneck = true;
-          break;
-        }
-      }
-      if (!at_bottleneck) continue;
-      group.rate = best_share;
-      fixed_any = true;
-      remaining -= group.size;
-      for (LinkId l : group.path) {
-        const auto idx = static_cast<std::size_t>(l);
-        for (int k = 0; k < group.size; ++k) cap_scratch_[idx] -= best_share;
-        unfixed_scratch_[idx] -= group.size;
-      }
-    }
-    if (!fixed_any) {
-      throw std::logic_error("max-min: made no progress");
-    }
+  for (const MaxMinSolver::Rate& r : solver_.solve(link_capacity_)) {
+    groups_[static_cast<std::size_t>(r.group)].rate = r.rate;
   }
 }
 
@@ -351,16 +344,19 @@ void Fabric::on_completion_event() {
   has_pending_event_ = false;
   settle_progress();
   done_scratch_.clear();
-  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-    Group& group = groups_[gi];
-    if (group.size == 0) continue;
+  // leave_group() drops a group it empties from live_groups_, so the
+  // index advances only past groups that keep members.
+  for (std::size_t i = 0; i < live_groups_.size();) {
+    const int gi = live_groups_[i];
+    Group& group = groups_[static_cast<std::size_t>(gi)];
     const bool remote = !group.path.empty();
     for (;;) {
       purge_dead_members(group);
       if (group.members.empty()) break;
-      const Member m = group.members.top();
+      const Member m = group.members.front();
       if (m.finish_drain > group.drain_total + kDrainEpsilon) break;
-      group.members.pop();
+      std::pop_heap(group.members.begin(), group.members.end(), MemberLater{});
+      group.members.pop_back();
       const auto si = static_cast<std::size_t>(m.slot);
       done_scratch_.push_back(DoneFlow{m.id, flow_bytes_[si], remote,
                                        flow_latency_[si],
@@ -370,9 +366,10 @@ void Fabric::on_completion_event() {
       ++stats_.flows_completed;
       --stats_.flows_in_flight;
       --active_flows_;
-      leave_group(static_cast<int>(gi));
+      leave_group(gi);
       if (group.size == 0) break;  // group recycled; its heap was cleared
     }
+    if (group.size > 0) ++i;
   }
   // Completion callbacks fire in flow-id order — the determinism contract.
   std::sort(done_scratch_.begin(), done_scratch_.end(),
@@ -432,13 +429,8 @@ void Fabric::ref_settle_progress() {
 void Fabric::ref_solve_max_min() {
   ++stats_.rate_recomputations;
   const int link_count = topology_.link_count();
-  std::vector<double> capacity(static_cast<std::size_t>(link_count));
+  std::vector<double> capacity = link_capacity_;
   std::vector<int> unfixed(static_cast<std::size_t>(link_count), 0);
-  for (int l = 0; l < link_count; ++l) {
-    capacity[static_cast<std::size_t>(l)] =
-        topology_.link(l).capacity_bytes_per_s *
-        link_capacity_factor_[static_cast<std::size_t>(l)];
-  }
 
   std::vector<RefFlow*> pending;
   pending.reserve(ref_flows_.size());
@@ -550,6 +542,16 @@ void Fabric::set_reachability(std::vector<int> host_group,
   if (static_cast<int>(host_group.size()) != topology_.host_count()) {
     throw std::invalid_argument("set_reachability: host_group size mismatch");
   }
+  for (const auto& row : blocked) {
+    if (row.size() != blocked.size()) {
+      throw std::invalid_argument("set_reachability: blocked is not square");
+    }
+  }
+  for (const int g : host_group) {
+    if (g < 0 || static_cast<std::size_t>(g) >= blocked.size()) {
+      throw std::invalid_argument("set_reachability: host class out of range");
+    }
+  }
   host_group_ = std::move(host_group);
   group_blocked_ = std::move(blocked);
   partitions_active_ = false;
@@ -652,23 +654,8 @@ void Fabric::resume_flow(FlowId id, ParkedFlow p) {
     ++active_flows_;
     return;
   }
-  const int slot = acquire_flow_slot();
-  const auto si = static_cast<std::size_t>(slot);
-  const int gi = group_for_path(topology_.path(p.src, p.dst));
-  Group& group = groups_[static_cast<std::size_t>(gi)];
-  flow_id_[si] = id;
-  flow_group_[si] = gi;
-  flow_bytes_[si] = p.bytes;
-  flow_latency_[si] = p.latency;
-  flow_src_[si] = p.src;
-  flow_dst_[si] = p.dst;
-  flow_finish_drain_[si] = group.drain_total + p.remaining;
-  flow_cb_[si] = std::move(p.cb);
-  group.members.push(Member{flow_finish_drain_[si], id, slot});
-  ++group.size;
-  for (LinkId l : group.path) ++link_flow_count_[static_cast<std::size_t>(l)];
-  slot_of_.emplace(id, slot);
-  ++active_flows_;
+  enter_flow(id, p.src, p.dst, p.bytes, p.remaining, p.latency,
+             std::move(p.cb));
 }
 
 // ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@
 // drives shuffle, collective, and storage-transfer times in EVOLVE.
 //
 // Scale design (see DESIGN.md "Simulation kernel performance"):
-//  * Flows are grouped by path signature — all flows sharing a path have
-//    identical max-min rates, so the water-filling solver iterates groups,
-//    not flows: O(groups · links) per solve instead of O(flows · links).
+//  * Flows are grouped by (src, dst) pair — all flows sharing a path have
+//    identical max-min rates, so the water-filling solver (MaxMinSolver)
+//    iterates groups, not flows, and touches only the loaded links.
+//    Rates are re-solved only when a network group changed size or a
+//    link's capacity changed: loopback flows have a constant rate.
 //  * Progress settling is lazy: each group keeps a cumulative
 //    "bytes drained per member flow" counter; a flow records the counter
 //    value when it joins and completes when the counter passes
@@ -25,18 +27,20 @@
 //    so starting and finishing a flow allocates nothing for the common
 //    capture sizes.
 //
-// Determinism invariants (preserved from the original implementation):
-// completion callbacks within one event fire in flow-id order, and rates
-// follow the exact same water-filling arithmetic as the reference solver,
-// so simulation outputs are unchanged.
+// Determinism invariants: completion callbacks within one event fire in
+// flow-id order, and every solve fixes the live network groups in group
+// index order with the per-flow arithmetic of the reference solver. The
+// lazy drain counters round differently from the reference engine's
+// per-flow remaining bytes, so completion times may differ from it by a
+// nanosecond (DESIGN.md §7 "Determinism invariants").
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
+#include "net/max_min.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
 #include "trace/tracer.hpp"
@@ -106,11 +110,13 @@ class Fabric {
   /// packet loss into the factor (bw_factor * (1 - loss)). Applied
   /// identically by the grouped and reference solvers; in-flight flows
   /// re-solve from the call's timestamp. Must be > 0 (a zero-rate flow
-  /// would never complete). Factor 1.0 is exact (x * 1.0 == x), so an
-  /// undegraded fabric computes bit-identical rates.
+  /// would never complete); an unknown link throws std::out_of_range.
+  /// Factor 1.0 is exact (x * 1.0 == x), so an undegraded fabric
+  /// computes bit-identical rates.
   void set_link_capacity_factor(LinkId link, double factor);
   /// Extra one-way propagation latency added to every *new* transfer
   /// whose path crosses the link (in-flight flows keep their latency).
+  /// An unknown link throws std::out_of_range.
   void set_link_extra_latency(LinkId link, util::TimeNs extra);
   double link_capacity_factor(LinkId link) const {
     return link_capacity_factor_[static_cast<std::size_t>(link)];
@@ -128,6 +134,8 @@ class Fabric {
   /// bytes — and resume when a later mask (or clear_partitions) unblocks
   /// the pair. New transfers on blocked pairs park immediately. Loopback
   /// (src == dst) is never blocked. Driven by fault::PartitionInjector.
+  /// Throws std::invalid_argument unless `host_group` has one class per
+  /// host, `blocked` is square, and every class indexes into it.
   void set_reachability(std::vector<int> host_group,
                         std::vector<std::vector<char>> blocked);
   /// Heals all partitions; every parked flow resumes.
@@ -154,13 +162,15 @@ class Fabric {
     }
   };
   struct Group {
+    std::uint64_t key = 0;     // pair_key(src, dst)
     std::vector<LinkId> path;  // empty = loopback
     double rate = 0;           // bytes/s per member flow
     double drain_total = 0;    // cumulative bytes drained per member flow
     int size = 0;              // live member count
-    // Min-heap of members by finish_drain; cancelled members are skipped
-    // lazily (slot id mismatch).
-    std::priority_queue<Member, std::vector<Member>, MemberLater> members;
+    // Min-heap (std::push_heap with MemberLater) of members by
+    // finish_drain; cancelled members are skipped lazily (slot id
+    // mismatch).
+    std::vector<Member> members;
   };
 
   /// Data captured for a completed flow before its slot is recycled;
@@ -173,7 +183,13 @@ class Fabric {
     FlowCallback cb;
   };
 
-  int group_for_path(std::vector<LinkId> path);
+  /// Group of every flow from `src` to `dst`; all loopback pairs share one.
+  /// Builds the path only when it creates the group.
+  int group_for_pair(cluster::NodeId src, cluster::NodeId dst);
+  /// Puts a flow with `remaining` bytes to drain into its pair's group.
+  void enter_flow(FlowId id, cluster::NodeId src, cluster::NodeId dst,
+                  util::Bytes bytes, double remaining, util::TimeNs latency,
+                  FlowCallback cb);
   int acquire_flow_slot();
   void release_flow_slot(int slot);
   void leave_group(int group_index);
@@ -187,14 +203,15 @@ class Fabric {
   /// for the current timestamp batch.
   void mark_dirty();
 
-  /// Runs the solver and reschedules the next completion if dirty.
+  /// Re-solves if rates are stale and reschedules the next completion if
+  /// dirty.
   void flush_if_dirty();
 
   /// Completion event body: completes all flows that have drained.
   void on_completion_event();
 
-  /// Grouped water-filling: identical arithmetic to the reference solver,
-  /// but iterates path groups instead of flows.
+  /// Grouped water-filling over the live network groups in index order:
+  /// the reference solver's arithmetic, iterating groups instead of flows.
   void solve_grouped();
 
   // ---- reference (debug) engine: the original per-flow implementation ----
@@ -275,20 +292,22 @@ class Fabric {
   std::unordered_map<FlowId, int> slot_of_;
   std::vector<Group> groups_;
   std::vector<int> free_groups_;
-  std::map<std::vector<LinkId>, int> group_of_path_;
-  /// Live (non-loopback) flows crossing each link; kept incrementally so
-  /// the solver never iterates flows to build link state.
-  std::vector<int> link_flow_count_;
+  /// Indices of the groups with members, ascending: every per-group scan
+  /// walks this list, in the index order the solver's fix order needs.
+  std::vector<int> live_groups_;
+  std::unordered_map<std::uint64_t, int> group_of_pair_;
   // Gray-failure degradation state (1.0 / 0 = healthy).
   std::vector<double> link_capacity_factor_;
   std::vector<util::TimeNs> link_extra_latency_;
+  /// capacity_bytes_per_s × link_capacity_factor_, per link.
+  std::vector<double> link_capacity_;
   bool any_extra_latency_ = false;
   bool dirty_ = false;
   bool flush_scheduled_ = false;
-  // Reusable solver scratch (avoids per-recompute allocation).
-  std::vector<double> cap_scratch_;
-  std::vector<int> unfixed_scratch_;
-  std::vector<int> pending_scratch_;
+  /// A network group changed size or a capacity changed since the last
+  /// solve, so the next flush must re-solve.
+  bool rates_stale_ = false;
+  MaxMinSolver solver_;
   std::vector<DoneFlow> done_scratch_;
 
   // Reference-engine state. std::map keeps iteration order deterministic

@@ -18,6 +18,10 @@ namespace evolve::net {
 
 using LinkId = std::int32_t;
 
+/// Longest path Topology::path returns: host up, ToR up, ToR down, host
+/// down.
+inline constexpr int kMaxPathLinks = 4;
+
 struct Link {
   std::string name;
   double capacity_bytes_per_s = 0;
@@ -44,7 +48,8 @@ class Topology {
   int link_count() const { return static_cast<int>(links_.size()); }
 
   /// Directed links traversed by a flow from host `src` to host `dst`.
-  /// Empty for src == dst (loopback).
+  /// Empty for src == dst (loopback). Distinct non-loopback pairs have
+  /// distinct paths, so the fabric keys its flow groups by (src, dst).
   std::vector<LinkId> path(cluster::NodeId src, cluster::NodeId dst) const;
 
   /// End-to-end latency for one message src -> dst.

@@ -195,6 +195,113 @@ TEST(Fabric, FlowRateVisible) {
   EXPECT_DOUBLE_EQ(f.fabric.flow_rate(9999), 0.0);
 }
 
+TEST(Fabric, RejectsBadHostIds) {
+  FabricFixture f;
+  EXPECT_THROW(f.fabric.transfer(-1, 0, 10, [] {}), std::out_of_range);
+  EXPECT_THROW(f.fabric.transfer(0, 4, 10, [] {}), std::out_of_range);
+  EXPECT_THROW(f.fabric.transfer(4, 4, 10, [] {}), std::out_of_range);
+  EXPECT_EQ(f.fabric.stats().flows_started, 0);
+}
+
+// Loopback flows run at a constant rate, so their arrivals and
+// completions only reschedule the next completion: no re-solve.
+TEST(Fabric, LoopbackChurnDoesNotResolve) {
+  FabricFixture f;
+  const FlowId remote = f.fabric.transfer(0, 2, 100 * util::kGiB, [] {});
+  const double rate = f.fabric.flow_rate(remote);
+  const std::int64_t solves = f.fabric.stats().rate_recomputations;
+  EXPECT_EQ(solves, 1);
+  int done = 0;
+  for (int i = 1; i <= 3; ++i) {
+    f.fabric.transfer(1, 1, i * util::kMiB, [&] { ++done; });
+  }
+  f.sim.after(util::micros(50), [&] {
+    f.fabric.transfer(3, 3, util::kMiB, [&] { ++done; });
+  });
+  f.sim.run_until(util::seconds(1));
+  EXPECT_EQ(done, 4);
+  EXPECT_EQ(f.fabric.stats().flows_completed, 4);
+  EXPECT_EQ(f.fabric.stats().rate_recomputations, solves);
+  EXPECT_EQ(f.fabric.flow_rate(remote), rate);
+
+  FabricFixture loopback_only;
+  loopback_only.fabric.transfer(2, 2, util::kMiB, [] {});
+  loopback_only.fabric.transfer(3, 3, 2 * util::kMiB, [] {});
+  loopback_only.sim.run();
+  EXPECT_EQ(loopback_only.fabric.stats().flows_completed, 2);
+  EXPECT_EQ(loopback_only.fabric.stats().rate_recomputations, 0);
+}
+
+// A capacity change alone, with the same flows, must re-solve.
+TEST(Fabric, CapacityFactorChangeResolves) {
+  FabricFixture f;
+  const FlowId id = f.fabric.transfer(0, 2, 100 * util::kGiB, [] {});
+  const double rate = f.fabric.flow_rate(id);
+  EXPECT_EQ(rate, f.topology.config().host_link_bytes_per_s);
+  const std::int64_t solves = f.fabric.stats().rate_recomputations;
+  f.fabric.set_link_capacity_factor(f.topology.host_links(0)[0], 0.5);
+  EXPECT_EQ(f.fabric.flow_rate(id), rate * 0.5);
+  EXPECT_EQ(f.fabric.stats().rate_recomputations, solves + 1);
+}
+
+// Parking a flow behind a partition and resuming it on heal each change
+// the network flow set, so each re-solves the survivor's rate.
+TEST(Fabric, ReachabilityParkAndResumeResolve) {
+  FabricFixture f;  // hosts 0 and 2 in rack 0, 1 and 3 in rack 1
+  const FlowId stays = f.fabric.transfer(0, 2, 100 * util::kGiB, [] {});
+  f.fabric.transfer(0, 1, 100 * util::kGiB, [] {});
+  const double link = f.topology.config().host_link_bytes_per_s;
+  EXPECT_EQ(f.fabric.flow_rate(stays), link / 2);
+  const std::int64_t solves = f.fabric.stats().rate_recomputations;
+
+  f.fabric.set_reachability({0, 1, 0, 1}, {{0, 1}, {1, 0}});
+  EXPECT_EQ(f.fabric.parked_flows(), 1);
+  EXPECT_EQ(f.fabric.flow_rate(stays), link);
+  EXPECT_EQ(f.fabric.stats().rate_recomputations, solves + 1);
+
+  f.fabric.clear_partitions();
+  EXPECT_EQ(f.fabric.parked_flows(), 0);
+  EXPECT_EQ(f.fabric.flow_rate(stays), link / 2);
+  EXPECT_EQ(f.fabric.stats().rate_recomputations, solves + 2);
+}
+
+TEST(Fabric, RejectsUnknownLinks) {
+  FabricFixture f;
+  const LinkId past_end = f.topology.link_count();
+  EXPECT_THROW(f.fabric.set_link_capacity_factor(-1, 0.5), std::out_of_range);
+  EXPECT_THROW(f.fabric.set_link_capacity_factor(past_end, 0.5),
+               std::out_of_range);
+  EXPECT_THROW(f.fabric.set_link_extra_latency(-1, 5), std::out_of_range);
+  EXPECT_THROW(f.fabric.set_link_extra_latency(past_end, 5),
+               std::out_of_range);
+  f.fabric.set_link_capacity_factor(past_end - 1, 0.5);
+  f.fabric.set_link_extra_latency(past_end - 1, 5);
+  EXPECT_EQ(f.fabric.link_capacity_factor(past_end - 1), 0.5);
+  EXPECT_EQ(f.fabric.link_extra_latency(past_end - 1), 5);
+}
+
+TEST(Fabric, SetReachabilityValidatesClasses) {
+  FabricFixture f;
+  const std::vector<std::vector<char>> split = {{0, 1}, {1, 0}};
+  EXPECT_THROW(f.fabric.set_reachability({0, 1, 0}, split),
+               std::invalid_argument);
+  EXPECT_THROW(f.fabric.set_reachability({0, 1, 0, 2}, split),
+               std::invalid_argument);
+  EXPECT_THROW(f.fabric.set_reachability({0, -1, 0, 1}, split),
+               std::invalid_argument);
+  EXPECT_THROW(f.fabric.set_reachability({0, 1, 0, 1}, {{0, 1}, {1}}),
+               std::invalid_argument);
+  EXPECT_THROW(f.fabric.set_reachability({0, 1, 0, 1}, {{0, 1, 0}, {1, 0, 0}}),
+               std::invalid_argument);
+  EXPECT_THROW(f.fabric.set_reachability({0, 0, 0, 0}, {}),
+               std::invalid_argument);
+  // A rejected mask leaves the fabric unpartitioned.
+  EXPECT_TRUE(f.fabric.reachable(0, 1));
+  f.fabric.set_reachability({0, 1, 0, 1}, split);
+  EXPECT_FALSE(f.fabric.reachable(0, 1));
+  EXPECT_TRUE(f.fabric.reachable(0, 2));
+}
+
 // Property check across flow counts: n same-path flows take ~n * solo time.
 class FabricFairness : public ::testing::TestWithParam<int> {};
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 
 namespace evolve::net {
@@ -39,6 +43,30 @@ TEST(Topology, CrossRackPathHasFourLinks) {
   EXPECT_EQ(topo.link(path[1]).name, "tor-0:up");
   EXPECT_EQ(topo.link(path[2]).name, "tor-1:down");
   EXPECT_EQ(topo.hops(0, 1), 2);
+}
+
+// The fabric keys flow groups by (src, dst): that is exact only because
+// distinct host pairs never share a path and every loopback path is empty.
+TEST(Topology, DistinctPairsHaveDistinctPaths) {
+  for (int racks = 1; racks <= 4; ++racks) {
+    const auto c = cluster::make_testbed(7, 3, 2, racks);
+    Topology topo(c);
+    std::map<std::vector<LinkId>, std::pair<int, int>> owner;
+    for (int src = 0; src < topo.host_count(); ++src) {
+      for (int dst = 0; dst < topo.host_count(); ++dst) {
+        const auto path = topo.path(src, dst);
+        if (src == dst) {
+          EXPECT_TRUE(path.empty()) << "host " << src;
+          continue;
+        }
+        const auto [it, inserted] = owner.emplace(path, std::pair{src, dst});
+        EXPECT_TRUE(inserted) << src << "->" << dst << " shares the path of "
+                              << it->second.first << "->" << it->second.second;
+      }
+    }
+    EXPECT_EQ(owner.size(),
+              static_cast<std::size_t>(topo.host_count() * (topo.host_count() - 1)));
+  }
 }
 
 TEST(Topology, LatencyOrdering) {
